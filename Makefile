@@ -36,8 +36,8 @@ test:
 
 race:
 	$(GO) test -race ./internal/...
-	$(GO) test -race -run 'TestFieldPropertyMatchesOracle|TestCertifyGraphMatchesRecursive|TestFieldShardWordAlignment|TestFieldMatchesScalarPlanes' ./internal/valence
-	$(GO) test -race -run 'TestSharded' .
+	$(GO) test -race -cpu 1,2,4 -run 'TestFieldPropertyMatchesOracle|TestCertifyGraphMatchesRecursive|TestFieldLayerWordBoundary|TestFieldMatchesScalarPlanes' ./internal/valence
+	$(GO) test -race -cpu 1,2,4 -run 'TestSharded' .
 	$(GO) test -race ./internal/obs ./internal/cli ./cmd/lint
 
 # chaos runs the deterministic fault-injection suite under the race
@@ -69,10 +69,11 @@ crash:
 # engine-invariant lint suite, the complete test suite (including the
 # golden experiment outputs in the root package), the race detector
 # over the internal packages that use concurrency (parallel exploration,
-# parallel certification, shared successor caches, and the sharded
-# valence-field sweep, whose randomized property test is re-run explicitly
-# above; ./internal/... also covers internal/analysis and its fixture
-# tests), the chaos fault-injection suite, the supervised chaos campaign
+# parallel certification, shared successor caches; the valence-field
+# property tests and the root sharded-cache suites are re-run explicitly
+# above at -cpu 1,2,4 so a single-CPU host cannot hide a parallel race;
+# ./internal/... also covers internal/analysis and its fixture tests), the
+# chaos fault-injection suite, the supervised chaos campaign
 # and SIGKILL crash harness, a one-iteration smoke pass of the
 # field-kernel micro-benchmarks, and the traced-run obsreport round trip.
 tier1: build vet lint test race chaos campaign crash benchfield benchexplore obsreport
@@ -86,12 +87,12 @@ tier1: build vet lint test race chaos campaign crash benchfield benchexplore obs
 bench:
 	$(GO) run ./cmd/bench -out BENCH_6.json -baseline BENCH_5.json
 
-# benchfield smoke-runs the valence field micro-benchmark grid (scalar vs
-# bit-plane, serial vs sharded, graded vs fixpoint, arena steady state) at
-# one iteration per row — it validates the kernels still run and report
-# allocs, not their timings; use `make bench` for real numbers.
+# benchfield smoke-runs the valence field micro-benchmark grid (the
+# ScalarMasks oracle vs NewFieldCtx, on graded and fixpoint graphs) at one
+# iteration per row — it validates the sweep still runs and reports
+# allocs, not its timings; use `make bench` for real numbers.
 benchfield:
-	$(GO) test ./internal/valence -run '^$$' -bench 'BenchmarkFieldSweep|BenchmarkCertifyGraphArena' -benchtime 1x -benchmem
+	$(GO) test ./internal/valence -run '^$$' -bench 'BenchmarkFieldSweep' -benchtime 1x -benchmem
 
 # benchexplore smoke-runs the sharded-vs-legacy exploration grid (model ×
 # implementation × cold/warm × workers) at one iteration per row — it

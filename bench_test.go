@@ -42,7 +42,10 @@ func BenchmarkE1_InitialConnectivity(b *testing.B) {
 				if _, conn := valence.SetSDiameter(inits); !conn {
 					b.Fatal("Con_0 not similarity connected")
 				}
-				f := layers.NewFieldParallel(g, 0)
+				f, err := layers.NewFieldCtx(nil, g)
+				if err != nil {
+					b.Fatal(err)
+				}
 				found := false
 				for _, u := range g.Layer(0) {
 					if f.Bivalent(u) {
@@ -103,7 +106,10 @@ func BenchmarkE3_ShmemSynchronic(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			f := layers.NewFieldParallel(g, 0)
+			f, err := layers.NewFieldCtx(nil, g)
+			if err != nil {
+				b.Fatal(err)
+			}
 			for _, u := range g.Layer(0) {
 				r := f.AnalyzeNode(u)
 				if !r.ValenceConnected {
@@ -242,7 +248,10 @@ func BenchmarkE6_FastUnivalence(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f := layers.NewFieldParallel(g, 0)
+				f, err := layers.NewFieldCtx(nil, g)
+				if err != nil {
+					b.Fatal(err)
+				}
 				for d := 0; d < rounds; d++ {
 					for _, u := range g.Layer(d) {
 						ff := g.EdgeTo[g.EdgeStart[u]]
@@ -349,7 +358,10 @@ func BenchmarkE9_Extensions(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			f := layers.NewFieldParallel(g, 0)
+			f, err := layers.NewFieldCtx(nil, g)
+			if err != nil {
+				b.Fatal(err)
+			}
 			biv := 0
 			for u := 0; u < g.Len(); u++ {
 				if f.Bivalent(uint32(u)) {
@@ -546,7 +558,7 @@ func BenchmarkResilience(b *testing.B) {
 		if _, conn := valence.SetSDiameter(inits); !conn {
 			b.Fatal("Con_0 not similarity connected")
 		}
-		f, err := layers.NewFieldParallelCtx(ctx, g, 0)
+		f, err := layers.NewFieldCtx(ctx, g)
 		if err != nil {
 			b.Fatal(err)
 		}

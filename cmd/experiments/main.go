@@ -111,7 +111,7 @@ func e1(ctx *layers.Ctx) error {
 		if err != nil {
 			return err
 		}
-		f, err := layers.NewFieldParallelCtx(ctx, g, 0)
+		f, err := layers.NewFieldCtx(ctx, g)
 		if err != nil {
 			return err
 		}

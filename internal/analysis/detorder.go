@@ -9,7 +9,7 @@ import (
 
 // DetOrder enforces the determinism contract of the engine packages: the
 // golden experiment outputs, the bit-identical parallel/serial equivalence
-// of ExploreParallel and NewFieldParallel, and the witness equality of
+// of ExploreParallel and CertifyParallel, and the witness equality of
 // CertifyGraph vs Certify all assume that every traversal the engine makes
 // is a pure function of the model. Three constructs silently break that:
 //

@@ -8,8 +8,8 @@ import (
 )
 
 // ParShard enforces worker-spawn hygiene at the engine's parallel fan-out
-// sites (ExploreParallel's frontier shards, NewFieldParallel's layer
-// sweeps, CertifyParallel). Two bugs recur in hand-rolled worker pools and
+// sites (ExploreParallel's frontier shards, CertifyParallel's root
+// workers). Two bugs recur in hand-rolled worker pools and
 // both destroy the engine's bit-identical parallel/serial equivalence or
 // deadlock it outright:
 //

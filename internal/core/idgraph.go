@@ -224,11 +224,11 @@ func (g *IDGraph) NodeOfCacheID(cid uint32) (uint32, bool) {
 // one contiguous run of node ids and records the per-layer windows. BFS
 // discovery assigns ids layer by layer, so graphs built by ExploreID always
 // satisfy this; the pass turns the construction invariant into a checked
-// property the bit-parallel sweeps can rely on. With contiguous layers a
-// layer's nodes are the id range [lo, hi), its edges the CSR range
-// [EdgeStart[lo], EdgeStart[hi]) — both sequential in memory, so a sweep
-// walks EdgeStart/EdgeTo strictly forward (prefetch-friendly) and its
-// 64-node word grid is shared with the field's bit-planes.
+// property the layer sweeps (decision, knowledge) can rely on. With
+// contiguous layers a layer's nodes are the id range [lo, hi), its edges
+// the CSR range [EdgeStart[lo], EdgeStart[hi]) — both sequential in
+// memory, so a sweep walks EdgeStart/EdgeTo strictly forward
+// (prefetch-friendly).
 func (g *IDGraph) layout() {
 	g.layoutOnce.Do(func() {
 		rec := obs.Active()

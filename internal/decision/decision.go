@@ -258,7 +258,7 @@ func CollectDecidedSimplexesGraph(g *core.IDGraph) map[string]simplex.Simplex {
 
 // FieldValences computes the generalized valence mask of every node of an
 // explored graph in one bottom-up sweep, the covering analogue of
-// valence.NewField: masks[u] holds the OR over u's reachable closure (in
+// valence.NewFieldCtx: masks[u] holds the OR over u's reachable closure (in
 // the explored graph) of the base masks assigned by the covering to
 // fully-decided states. On a graded graph (every edge advancing one
 // layer) masks[u] equals Oracle.Valences(g.States[u], g.Depth-depth(u))

@@ -202,7 +202,10 @@ func TestClassValenceSweepsField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := valence.NewField(g)
+	f, err := valence.NewFieldCtx(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const round = 1 // = t-1: the last round with bivalent states
 	classes := knowledge.NewClassesLayer(g, round)
 	classValence := classes.ClassValence(f.LayerMasks(round))

@@ -189,27 +189,22 @@ func TestSupervisorDeterministicBackoff(t *testing.T) {
 }
 
 // TestSupervisorDegradationLadder: resource errors step the attempt width
-// down 8→4→2→1, then flip to scalar kernels, then keep retrying at the
-// bottom rung.
+// down 8→4→2→1, then keep retrying at the bottom rung.
 func TestSupervisorDegradationLadder(t *testing.T) {
 	budget := resilient.Sentinel("test: node budget")
 	var slept []time.Duration
 	sup := &resilient.Supervisor{
 		Policy: resilient.Policy{
-			MaxAttempts: 7,
+			MaxAttempts: 6,
 			DegradeOn:   []error{budget},
 			Sleep:       noSleep(&slept),
 		},
 		Workers: 8,
 	}
-	type rung struct {
-		workers int
-		scalar  bool
-	}
-	var seen []rung
+	var seen []int
 	stats, err := sup.Run(resilient.Background(), "op", func(a *resilient.Attempt) error {
-		seen = append(seen, rung{a.Workers, a.Scalar})
-		if a.N < 7 {
+		seen = append(seen, a.Workers)
+		if a.N < 6 {
 			return fmt.Errorf("oom at width %d: %w", a.Workers, budget)
 		}
 		return nil
@@ -217,17 +212,12 @@ func TestSupervisorDegradationLadder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	want := []rung{{8, false}, {4, false}, {2, false}, {1, false}, {1, true}, {1, true}, {1, true}}
-	if len(seen) != len(want) {
-		t.Fatalf("saw %d attempts, want %d", len(seen), len(want))
+	want := []int{8, 4, 2, 1, 1, 1}
+	if fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Errorf("attempt widths = %v, want %v", seen, want)
 	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Errorf("attempt %d ran at %+v, want %+v", i+1, seen[i], want[i])
-		}
-	}
-	if stats.Degrades != 4 {
-		t.Errorf("degrades = %d, want 4 (no step counted once the ladder is exhausted)", stats.Degrades)
+	if stats.Degrades != 3 {
+		t.Errorf("degrades = %d, want 3 (no step counted once the ladder is exhausted)", stats.Degrades)
 	}
 }
 

@@ -135,9 +135,9 @@ func BenchmarkField(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f := valence.NewField(g)
-				if f.Len() != g.Len() {
-					b.Fatal("field size mismatch")
+				f, err := valence.NewFieldCtx(nil, g)
+				if err != nil || f.Len() != g.Len() {
+					b.Fatal("field sweep failed:", err)
 				}
 			}
 			b.ReportMetric(float64(g.Len()), "states")

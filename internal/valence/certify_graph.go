@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/arena"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -53,14 +52,6 @@ func CertifyGraph(g *core.IDGraph, maxVisits int) (*Witness, error) {
 // fingerprint of the graph) finishes with a verdict, witness, and Explored
 // count bit-identical to an uninterrupted run's.
 func CertifyGraphCtx(ctx *resilient.Ctx, g *core.IDGraph, maxVisits int) (*Witness, error) {
-	c := &graphCertifier{}
-	return c.certify(ctx, g, maxVisits, nil)
-}
-
-// certify runs one certification on a (possibly reused) certifier,
-// allocating visited bitsets from ar when non-nil (the Sweep zero-alloc
-// path) and from the heap otherwise.
-func (c *graphCertifier) certify(ctx *resilient.Ctx, g *core.IDGraph, maxVisits int, ar *arena.Arena) (*Witness, error) {
 	if !g.Graded() {
 		return nil, ErrNotGraded
 	}
@@ -80,14 +71,12 @@ func (c *graphCertifier) certify(ctx *resilient.Ctx, g *core.IDGraph, maxVisits 
 			obs.F{Key: "depth", Value: g.Depth},
 			obs.F{Key: "roots", Value: len(g.Inits)})
 	}
-	c.g, c.ctx, c.maxVisits, c.ar = g, ctx, maxVisits, ar
-	c.cp = certPlanesOf(g)
-	c.visits, c.steps, c.rootIdx = 0, 0, 0
-	c.bs, c.stack = nil, c.stack[:0]
-	if c.visited == nil {
-		c.visited = make(map[uint64][]uint64)
-	} else {
-		clear(c.visited)
+	c := &graphCertifier{
+		g:         g,
+		ctx:       ctx,
+		cp:        certPlanesOf(g),
+		maxVisits: maxVisits,
+		visited:   make(map[uint64][]uint64),
 	}
 	startRoot, midRoot := 0, false
 	if data := ctx.PeekResume(resilient.TagCertify); data != nil {
@@ -146,9 +135,9 @@ func (c *graphCertifier) certify(ctx *resilient.Ctx, g *core.IDGraph, maxVisits 
 			return w, nil
 		}
 	}
-	c.ok = Witness{Kind: OK, Explored: c.visits}
-	c.finish(rec, &c.ok)
-	return &c.ok, nil
+	w := &Witness{Kind: OK, Explored: c.visits}
+	c.finish(rec, w)
+	return w, nil
 }
 
 // finish publishes the certification's counters and emits certify.done.
@@ -217,7 +206,6 @@ type graphCertifier struct {
 	g         *core.IDGraph
 	ctx       *resilient.Ctx
 	cp        *certPlanes
-	ar        *arena.Arena
 	maxVisits int
 	visits    int
 	// steps counts DFS loop iterations; every 256th polls the context and
@@ -232,9 +220,6 @@ type graphCertifier struct {
 	root    uint32
 	inputs  uint64
 	stack   []gframe
-	// ok is the reused all-clear verdict, so a clean certification on a
-	// warmed certifier allocates nothing.
-	ok Witness
 }
 
 // bitset returns (creating on first use) the visited bitset for an input
@@ -242,12 +227,7 @@ type graphCertifier struct {
 func (c *graphCertifier) bitset(inputs uint64) []uint64 {
 	bs := c.visited[inputs]
 	if bs == nil {
-		words := (c.g.Len() + 63) / 64
-		if c.ar != nil {
-			bs = c.ar.Words(words)
-		} else {
-			bs = make([]uint64, words)
-		}
+		bs = make([]uint64, (c.g.Len()+63)/64)
 		c.visited[inputs] = bs
 	}
 	return bs

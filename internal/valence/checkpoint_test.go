@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -198,18 +199,22 @@ func TestCertifyCheckpointValidation(t *testing.T) {
 }
 
 // TestFieldCheckpointRandomCuts interrupts the layer sweep at every layer
-// boundary in turn, for serial and pooled sweeps, and requires the resumed
-// field's mask array to be byte-identical to an uninterrupted one.
+// boundary in turn, with a cancellation and with an injected budget fault,
+// and requires the resumed field's mask array to be byte-identical to an
+// uninterrupted sweep's and to the ScalarMasks oracle.
 func TestFieldCheckpointRandomCuts(t *testing.T) {
 	g := ckptGraph(t, mobile.New(protocols.FloodSet{Rounds: 2}, 3), 2)
-	want := valence.NewField(g)
+	want := mustField(t, g).Masks()
+	if !bytes.Equal(want, valence.ScalarMasks(g)) {
+		t.Fatal("uninterrupted field differs from ScalarMasks")
+	}
 	layers := g.NumLayers()
 	for cut := 1; cut <= layers; cut++ {
-		for _, workers := range []int{1, 3} {
-			t.Run(fmt.Sprintf("cut%d-w%d", cut, workers), func(t *testing.T) {
-				plan := chaos.NewPlan().Set("field.layer", chaos.Rule{Hit: uint64(cut), Kind: chaos.KindCancel})
+		for _, kind := range []chaos.Kind{chaos.KindCancel, chaos.KindBudget} {
+			t.Run(fmt.Sprintf("cut%d-%v", cut, kind), func(t *testing.T) {
+				plan := chaos.NewPlan().Set("field.layer", chaos.Rule{Hit: uint64(cut), Kind: kind})
 				chaos.Arm(plan)
-				_, perr := valence.NewFieldParallelCtx(nil, g, workers)
+				_, perr := valence.NewFieldCtx(nil, g)
 				chaos.Disarm()
 				if len(plan.Fired()) != 1 {
 					t.Fatalf("plan fired %d faults, want 1", len(plan.Fired()))
@@ -217,11 +222,11 @@ func TestFieldCheckpointRandomCuts(t *testing.T) {
 				if !errors.Is(perr, resilient.ErrPartial) {
 					t.Fatalf("err = %v, want ErrPartial family", perr)
 				}
-				got, rerr := valence.NewFieldParallelCtx(resumeCtx(t, perr), g, workers)
+				got, rerr := valence.NewFieldCtx(resumeCtx(t, perr), g)
 				if rerr != nil {
 					t.Fatalf("resume failed: %v", rerr)
 				}
-				if !bytes.Equal(want.Masks(), got.Masks()) {
+				if !bytes.Equal(want, got.Masks()) {
 					t.Fatal("resumed field masks differ from uninterrupted sweep")
 				}
 			})
@@ -229,27 +234,36 @@ func TestFieldCheckpointRandomCuts(t *testing.T) {
 	}
 }
 
-// TestFieldShardPanicContained injects a panic into a pooled shard worker:
-// the fault is contained as a *resilient.PanicError, the layer-boundary
-// checkpoint resumes, and the masks still match.
-func TestFieldShardPanicContained(t *testing.T) {
+// TestFieldMemoryPressureNoLivelock: with the soft memory limit armed
+// below the live heap, NewFieldCtx returns ErrMemory at the first layer
+// boundary instead of spinning; once the limit is cleared, resuming from
+// the attached checkpoint completes to the ScalarMasks oracle's bits.
+func TestFieldMemoryPressureNoLivelock(t *testing.T) {
 	g := ckptGraph(t, mobile.New(protocols.FloodSet{Rounds: 2}, 3), 2)
-	want := valence.NewField(g)
-	chaos.Arm(chaos.NewPlan().Set("field.shard", chaos.Rule{Hit: 1, Kind: chaos.KindPanic}))
-	_, perr := valence.NewFieldParallelCtx(nil, g, 2)
-	chaos.Disarm()
-	if !errors.Is(perr, resilient.ErrPartial) {
-		t.Fatalf("err = %v, want ErrPartial family", perr)
+
+	resilient.SetSoftMemLimit(1)
+	defer resilient.SetSoftMemLimit(0)
+	done := make(chan error, 1)
+	go func() {
+		_, err := valence.NewFieldCtx(nil, g)
+		done <- err
+	}()
+	var perr error
+	select {
+	case perr = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("NewFieldCtx did not return under memory pressure")
 	}
-	var pe *resilient.PanicError
-	if !errors.As(perr, &pe) {
-		t.Fatalf("shard panic not contained as PanicError: %v", perr)
+	resilient.SetSoftMemLimit(0)
+
+	if !errors.Is(perr, resilient.ErrMemory) {
+		t.Fatalf("err = %v, want ErrMemory", perr)
 	}
-	got, rerr := valence.NewFieldParallelCtx(resumeCtx(t, perr), g, 2)
+	got, rerr := valence.NewFieldCtx(resumeCtx(t, perr), g)
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
-	if !bytes.Equal(want.Masks(), got.Masks()) {
-		t.Fatal("resumed field masks differ after contained panic")
+	if !bytes.Equal(got.Masks(), valence.ScalarMasks(g)) {
+		t.Fatal("resume after memory pressure differs from ScalarMasks")
 	}
 }

@@ -2,10 +2,8 @@ package valence
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
-	"repro/internal/arena"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -26,27 +24,14 @@ import (
 // per-layer valence question the experiments ask (the
 // DecreasingHorizon(B, 0) schedule) without re-walking overlapping futures.
 //
-// The bit-plane layout is what makes the sweep word-parallel: a layer is a
-// contiguous id window (core.LayerSpan, the BFS construction invariant
-// checked by the layout pass), so the sweep computes 64 nodes' bits into
-// two register accumulators and stores whole plane words — interior words
-// with a plain store, the partial words where a layer boundary cuts a word
-// with a masked merge that preserves the deeper layer's already-final bits.
-// Decided bits come from the per-graph cached decided planes
-// (fieldPlanesOf), so steady-state sweeps perform no State interface calls
-// at all; runs of consecutive child ids (BFS numbers fresh children
-// consecutively) are folded with word-wide ORs over the planes instead of
-// per-edge bit probes.
-//
-// The per-layer propagation is sharded across workers on whole-word
-// boundaries: no two workers ever read-modify-write the same plane word,
-// and on graded graphs (every edge goes depth d -> d+1) a node's mask
-// depends only on the already-finished deeper layer, so the parallel write
-// order cannot change the result — the field is deterministic and
-// bit-identical across worker counts. Graphs that are not graded — the
+// The sweep is serial and per node: each layer, deepest first, writes its
+// nodes' two bits from the per-graph cached decided planes (fieldPlanesOf,
+// so a sweep makes no State interface calls) OR the bits of their children,
+// which the deeper layer has already finished; a node stops scanning its
+// edges once both bits are set. Graphs that are not graded — the
 // asynchronous families can produce same-depth shortcut edges at small n,
-// and hand-built graphs can do anything — fall back to serial reverse
-// sweeps iterated to fixpoint (masks grow monotonically under OR, so the
+// and hand-built graphs can do anything — fall back to reverse sweeps
+// iterated to fixpoint (masks grow monotonically under OR, so the
 // iteration converges); there the mask means "valence within the explored
 // graph": the OR of decided bits over every reachable recorded node.
 type Field struct {
@@ -54,100 +39,21 @@ type Field struct {
 	// fp is the graph's cached decided-bit planes (shared, immutable).
 	fp *fieldPlanes
 	// plane0/plane1 hold the field: bit u set = V0 (V1) in node u's mask.
-	// Arena-backed when the sweep came from a Sweep; see the arena package
-	// for the lifetime rule.
 	plane0, plane1 []uint64
-	// scalarKernel forces per-node serial sweeps instead of the
-	// word-parallel span kernel — the degradation ladder's last rung
-	// (see NewFieldScalarCtx). The result is bit-identical either way.
-	scalarKernel bool
 }
 
-// fieldShardMin is the minimum number of layer nodes per worker shard worth
-// a goroutine; below it the per-layer sweep runs serially. Shards are
-// always cut on 64-node word boundaries so no two workers touch the same
-// plane word (TestFieldShardWordAlignment runs this under -race).
-const fieldShardMin = 256
-
-// runMin is the shortest run of consecutive child ids folded with word-wide
-// ORs over the planes instead of per-edge bit probes.
-const runMin = 16
-
-// NewField computes the valence field of g with a serial sweep.
-func NewField(g *core.IDGraph) *Field { return NewFieldParallel(g, 1) }
-
-// NewFieldParallel computes the valence field of g with each layer's
-// OR-propagation sharded across workers goroutines (workers <= 0 means
-// GOMAXPROCS). The result is bit-identical for every worker count.
-func NewFieldParallel(g *core.IDGraph, workers int) *Field {
-	ctx := resilient.Background()
-	for {
-		f, err := NewFieldParallelCtx(ctx, g, workers)
-		if err == nil {
-			return f
-		}
-		// This context never cancels, so the error is an injected chaos
-		// fault. Each armed rule fires once, so feeding the checkpoint back
-		// (or plain retrying, when none is attached) converges to the
-		// complete field.
-		if ck, ok := resilient.CheckpointFrom(err); ok {
-			if sections, serr := ck.Sections(); serr == nil {
-				ctx.SetResume(sections)
-			}
-		}
-	}
-}
-
-// NewFieldCtx is NewField under a cancellation context.
-func NewFieldCtx(ctx *resilient.Ctx, g *core.IDGraph) (*Field, error) {
-	return NewFieldParallelCtx(ctx, g, 1)
-}
-
-// NewFieldScalarCtx computes the valence field with the serial scalar
-// kernel: per-node bit probes (Field.nodeBits) in place of the
-// word-parallel span sweep, no worker pool. It is the degradation ladder's
-// last rung — the memory floor is two plane words per 64 nodes with no
-// shard bookkeeping — and shares the layer loop, context polling, and
-// TagField checkpoints with the plane kernel, so a sweep interrupted under
-// one kernel resumes under the other and the result is bit-identical to
-// NewFieldParallel for every graph.
-func NewFieldScalarCtx(ctx *resilient.Ctx, g *core.IDGraph) (*Field, error) {
-	f := &Field{scalarKernel: true}
-	err := f.compute(ctx, g, 1, nil)
-	return f, err
-}
-
-// NewFieldParallelCtx is NewFieldParallel under a cancellation context,
-// polled (with the chaos field.layer fault point) once per layer; pool
-// workers additionally poll per shard (field.shard), and a panicking shard
-// is contained into a *resilient.PanicError. An interruption returns the
+// NewFieldCtx computes the valence field of g under a cancellation context
+// (nil never cancels), polled — with the chaos field.layer fault point and
+// the soft memory limit — once per layer. An interruption returns the
 // partial field alongside an error carrying a resilient.Checkpointer with
 // the masks computed so far and the next unfinished layer; resuming with
 // that snapshot (resilient.TagField, validated against a fingerprint of
 // the graph) yields a field bit-identical to an uninterrupted sweep's.
-// Re-sweeping the interrupted layer is idempotent, so shard-level cuts
-// need no finer snapshot than the layer index.
 //
-// Non-graded graphs fall back to serial fixpoint iteration, which polls
-// the context once per pass but is not checkpointed (the fallback exists
-// for small, hand-built, or shortcut-edged graphs).
-func NewFieldParallelCtx(ctx *resilient.Ctx, g *core.IDGraph, workers int) (*Field, error) {
-	f := &Field{}
-	err := f.compute(ctx, g, workers, nil)
-	return f, err
-}
-
-// compute runs the sweep into f, allocating the planes from ar when
-// non-nil (the Sweep zero-alloc path) and from the heap otherwise. It is
-// the shared engine behind NewFieldParallelCtx and Sweep.Field.
-func (f *Field) compute(ctx *resilient.Ctx, g *core.IDGraph, workers int, ar *arena.Arena) error {
-	// Auto mode (workers <= 0) applies the fieldShardMin heuristic per
-	// layer; an explicit worker count is honored as given, so tests and
-	// callers with odd workloads control the sharding exactly.
-	auto := workers <= 0
-	if auto {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// Non-graded graphs fall back to fixpoint iteration, which polls the
+// context once per pass but is not checkpointed (the fallback exists for
+// small, hand-built, or shortcut-edged graphs).
+func NewFieldCtx(ctx *resilient.Ctx, g *core.IDGraph) (*Field, error) {
 	rec := obs.Active()
 	defer obs.Span(rec, "field.time")()
 	tr := obs.Trace()
@@ -159,85 +65,79 @@ func (f *Field) compute(ctx *resilient.Ctx, g *core.IDGraph, workers int, ar *ar
 	words := (g.Len() + 63) / 64
 	if rec != nil {
 		rec.Add("field.sweeps", 1)
-		if f.scalarKernel {
-			rec.Add("field.sweeps.scalar", 1)
-		}
 		rec.Add("field.nodes", int64(g.Len()))
 		rec.Add("field.words", int64(2*words))
 	}
-	f.g = g
-	f.fp = fieldPlanesOf(g)
-	if ar != nil {
-		f.plane0, f.plane1 = ar.Words(words), ar.Words(words)
-	} else {
-		f.plane0, f.plane1 = make([]uint64, words), make([]uint64, words)
+	f := &Field{
+		g:      g,
+		fp:     fieldPlanesOf(g),
+		plane0: make([]uint64, words),
+		plane1: make([]uint64, words),
 	}
-	if g.Graded() {
-		start := g.NumLayers() - 1
-		if data := ctx.PeekResume(resilient.TagField); data != nil {
-			ck, err := DecodeFieldCheckpoint(data)
-			if err != nil {
-				return err
-			}
-			if ck.Matches(g) {
-				ctx.TakeResume(resilient.TagField)
-				f.loadMasks(ck.Masks)
-				start = ck.NextLayer
-				if rec != nil {
-					rec.Add("field.resumes", 1)
-					rec.Event("field.resume",
-						obs.F{Key: "next_layer", Value: start},
-						obs.F{Key: "nodes", Value: g.Len()})
-				}
+	if !g.Graded() {
+		return f, f.fixpoint(ctx, rec)
+	}
+	start := g.NumLayers() - 1
+	if data := ctx.PeekResume(resilient.TagField); data != nil {
+		ck, err := DecodeFieldCheckpoint(data)
+		if err != nil {
+			return f, err
+		}
+		if ck.Matches(g) {
+			ctx.TakeResume(resilient.TagField)
+			f.loadMasks(ck.Masks)
+			start = ck.NextLayer
+			if rec != nil {
+				rec.Add("field.resumes", 1)
+				rec.Event("field.resume",
+					obs.F{Key: "next_layer", Value: start},
+					obs.F{Key: "nodes", Value: g.Len()})
 			}
 		}
-		for d := start; d >= 0; d-- {
-			if err := chaos.Check(ctx, "field.layer"); err != nil {
-				return f.interrupted(rec, d, err)
-			}
-			if err := resilient.MemPressure(); err != nil {
-				// Same checkpointable boundary as a cancellation: the
-				// Supervisor resumes the sweep degraded (fewer workers,
-				// then the scalar kernel) instead of failing it.
-				return f.interrupted(rec, d, err)
-			}
-			var lsp obs.TraceSpan
-			if tr != nil {
-				lsp = tr.Begin("field.layer", root.ID)
-			}
-			var t0 time.Time
-			if rec != nil {
-				t0 = time.Now() //lint:nondet feeds layer-timing instrumentation only
-			}
-			width, imbalance, err := f.sweepLayer(ctx, d, workers, auto, rec != nil, lsp.ID)
-			if tr != nil {
-				tr.End(lsp)
-			}
-			if err != nil {
-				return f.interrupted(rec, d, err)
-			}
-			if rec != nil {
-				elapsed := time.Since(t0)
-				rec.Observe("field.layer.time", elapsed)
-				rec.Record("field.layer.width", int64(width))
-				if imbalance > 0 {
-					rec.Record("field.worker.imbalance_pct", imbalance)
-				}
-				rec.Event("field.layer",
-					obs.F{Key: "depth", Value: d},
-					obs.F{Key: "width", Value: width},
-					obs.F{Key: "ns", Value: elapsed.Nanoseconds()},
-					obs.F{Key: "imbalance_pct", Value: imbalance})
-			}
-		}
-		return nil
 	}
-	iters := 0
-	for {
+	for d := start; d >= 0; d-- {
+		if err := chaos.Check(ctx, "field.layer"); err != nil {
+			return f, f.interrupted(rec, d, err)
+		}
+		if err := resilient.MemPressure(); err != nil {
+			// Same checkpointable boundary as a cancellation: the
+			// Supervisor resumes the sweep instead of failing it.
+			return f, f.interrupted(rec, d, err)
+		}
+		var lsp obs.TraceSpan
+		if tr != nil {
+			lsp = tr.Begin("field.layer", root.ID)
+		}
+		var t0 time.Time
+		if rec != nil {
+			t0 = time.Now() //lint:nondet feeds layer-timing instrumentation only
+		}
+		layer := g.Layer(d)
+		f.sweepNodes(layer)
+		if tr != nil {
+			tr.End(lsp)
+		}
+		if rec != nil {
+			elapsed := time.Since(t0)
+			rec.Observe("field.layer.time", elapsed)
+			rec.Record("field.layer.width", int64(len(layer)))
+			rec.Event("field.layer",
+				obs.F{Key: "depth", Value: d},
+				obs.F{Key: "width", Value: len(layer)},
+				obs.F{Key: "ns", Value: elapsed.Nanoseconds()})
+		}
+	}
+	return f, nil
+}
+
+// fixpoint is the non-graded fallback: descending-id sweeps over every
+// node, OR-ing new bits in, until a pass changes nothing.
+func (f *Field) fixpoint(ctx *resilient.Ctx, rec obs.Recorder) error {
+	g := f.g
+	for iters := 1; ; iters++ {
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("valence: field fixpoint interrupted after %d iterations: %w", iters, err)
+			return fmt.Errorf("valence: field fixpoint interrupted after %d iterations: %w", iters-1, err)
 		}
-		iters++
 		changed := false
 		for u := g.Len() - 1; u >= 0; u-- {
 			wi, sh := u>>6, uint(u)&63
@@ -296,204 +196,12 @@ func (f *Field) interrupted(rec obs.Recorder, nextLayer int, cause error) error 
 	return resilient.WithCheckpoint(err, ck)
 }
 
-// sweepLayer computes the masks of one finished-children layer, sharding
-// across pool workers when the layer is large enough to pay for
-// goroutines (auto mode) or exactly as requested (explicit workers).
-// Shards are whole-word ranges of the planes, so no two workers ever
-// read-modify-write the same uint64. With measure set it times each shard
-// and returns the worker-imbalance ratio, max shard time over mean shard
-// time, in percent (100 = perfectly balanced; 0 when the layer ran
-// serially or unmeasured).
-func (f *Field) sweepLayer(ctx *resilient.Ctx, d, workers int, auto, measure bool, parent obs.SpanID) (width int, imbalancePct int64, err error) {
-	g := f.g
-	if f.scalarKernel {
-		layer := g.Layer(d)
-		f.sweepNodes(layer)
-		return len(layer), 0, nil
-	}
-	lo, hi, contiguous := g.LayerSpan(d)
-	if !contiguous {
-		// A graded graph whose layer is not one id window (possible only
-		// for hand-assembled graphs; BFS exploration always numbers layers
-		// consecutively): sweep serially with per-node bit writes — word
-		// sharding needs the window invariant.
-		layer := g.Layer(d)
-		f.sweepNodes(layer)
-		return len(layer), 0, nil
-	}
-	width = int(hi - lo)
-	if max := width / fieldShardMin; auto && workers > max {
-		workers = max
-	}
-	if workers > width {
-		workers = width
-	}
-	if workers <= 1 {
-		f.sweepSpan(lo, hi)
-		return width, 0, nil
-	}
-	// Shards are whole-word ranges; a span narrower than the worker count's
-	// word budget simply yields fewer shards (never a sub-word split), and
-	// explicit worker counts still route through the pool so cancellation
-	// and fault-injection semantics are uniform.
-	w0, w1 := int(lo>>6), int(hi+63)>>6
-	per := (w1 - w0 + workers - 1) / workers
-	nShards := (w1 - w0 + per - 1) / per
-	var shardNs []int64
-	if measure {
-		shardNs = make([]int64, nShards)
-	}
-	pool := resilient.Pool{Workers: workers}
-	err = pool.Run(ctx, nShards, func(sctx *resilient.Ctx, w int) error {
-		if cerr := chaos.Check(sctx, "field.shard"); cerr != nil {
-			return cerr
-		}
-		if str := obs.Trace(); str != nil {
-			defer str.End(str.BeginLane("field.shard", parent, w+1))
-		}
-		a := uint32((w0 + w*per) << 6)
-		b := uint32((w0 + (w+1)*per) << 6)
-		if a < lo {
-			a = lo
-		}
-		if b > hi {
-			b = hi
-		}
-		if shardNs != nil {
-			t0 := time.Now() //lint:nondet feeds shard-timing instrumentation only
-			f.sweepSpan(a, b)
-			shardNs[w] = time.Since(t0).Nanoseconds()
-			return nil
-		}
-		f.sweepSpan(a, b)
-		return nil
-	})
-	if err != nil {
-		return width, 0, err
-	}
-	if shardNs == nil {
-		return width, 0, nil
-	}
-	var max, total int64
-	for _, ns := range shardNs {
-		total += ns
-		if ns > max {
-			max = ns
-		}
-	}
-	if total == 0 {
-		return width, 0, nil
-	}
-	return width, max * 100 * int64(len(shardNs)) / total, nil
-}
-
-// sweepSpan computes the plane bits of the node-id window [a, b) — same-
-// layer nodes whose children's bits are final. It accumulates each word's
-// 64 masks in two registers and stores whole plane words; at the window's
-// edges, where a word is shared with a neighboring layer, it merges under
-// a mask that preserves the deeper layer's already-final bits (the
-// shallower side's stale bits are overwritten when that layer is swept).
-// Each plane word is written by exactly one worker — shards are whole-word
-// ranges — so concurrent spans never touch the same uint64.
+// sweepNodes writes the plane bits of one layer's nodes, whose children's
+// bits are final. A layer boundary can cut a plane word, so each node's
+// two bits are merged into its word without touching its neighbors'.
 //lint:hotpath
-func (f *Field) sweepSpan(a, b uint32) {
-	g := f.g
-	d0, d1 := f.fp.d0, f.fp.d1
-	p0, p1 := f.plane0, f.plane1
-	es, et := g.EdgeStart, g.EdgeTo
-	for a < b {
-		wi := a >> 6
-		base := wi << 6
-		we := base + 64
-		if we > b {
-			we = b
-		}
-		start := a
-		var acc0, acc1 uint64
-		for ; a < we; a++ {
-			sh := a & 63
-			m0 := d0[wi] >> sh & 1
-			m1 := d1[wi] >> sh & 1
-			for e, ehi := es[a], es[a+1]; e < ehi && m0&m1 == 0; {
-				// BFS numbers a node's fresh children consecutively, so
-				// child windows are mostly runs of consecutive ids: fold a
-				// long run with word-wide ORs over the contiguous plane
-				// range instead of probing bit by bit.
-				r := e + 1
-				for r < ehi && et[r] == et[r-1]+1 {
-					r++
-				}
-				if r-e >= runMin {
-					o0, o1 := orRange(p0, p1, et[e], et[e]+(r-e))
-					m0 |= o0
-					m1 |= o1
-				} else {
-					for ; e < r; e++ {
-						v := et[e]
-						m0 |= p0[v>>6] >> (v & 63) & 1
-						m1 |= p1[v>>6] >> (v & 63) & 1
-					}
-					continue
-				}
-				e = r
-			}
-			acc0 |= m0 << sh
-			acc1 |= m1 << sh
-		}
-		if start == base && we == base+64 {
-			p0[wi] = acc0
-			p1[wi] = acc1
-			continue
-		}
-		mask := (uint64(1)<<(we-start) - 1) << (start & 63)
-		p0[wi] = p0[wi]&^mask | acc0
-		p1[wi] = p1[wi]&^mask | acc1
-	}
-}
-
-// orRange ORs the plane bits of the node-id range [lo, hi) and returns the
-// two results normalized to 0/1.
-func orRange(p0, p1 []uint64, lo, hi uint32) (uint64, uint64) {
-	wl, wh := lo>>6, (hi-1)>>6
-	var o0, o1 uint64
-	if wl == wh {
-		var mask uint64
-		if hi-lo == 64 {
-			mask = ^uint64(0)
-		} else {
-			mask = (uint64(1)<<(hi-lo) - 1) << (lo & 63)
-		}
-		o0, o1 = p0[wl]&mask, p1[wl]&mask
-	} else {
-		o0, o1 = p0[wl]>>(lo&63), p1[wl]>>(lo&63)
-		for w := wl + 1; w < wh; w++ {
-			o0 |= p0[w]
-			o1 |= p1[w]
-		}
-		tail := hi - wh<<6
-		var mask uint64
-		if tail == 64 {
-			mask = ^uint64(0)
-		} else {
-			mask = uint64(1)<<tail - 1
-		}
-		o0 |= p0[wh] & mask
-		o1 |= p1[wh] & mask
-	}
-	if o0 != 0 {
-		o0 = 1
-	}
-	if o1 != 0 {
-		o1 = 1
-	}
-	return o0, o1
-}
-
-// sweepNodes is the non-contiguous-layer fallback: per-node bit writes in
-// slice order, serial only.
-//lint:hotpath
-func (f *Field) sweepNodes(part []uint32) {
-	for _, u := range part {
+func (f *Field) sweepNodes(layer []uint32) {
+	for _, u := range layer {
 		m0, m1 := f.nodeBits(u)
 		wi, sh := u>>6, u&63
 		f.plane0[wi] = f.plane0[wi]&^(1<<sh) | m0<<sh
@@ -502,9 +210,7 @@ func (f *Field) sweepNodes(part []uint32) {
 }
 
 // nodeBits is the per-node transfer function on planes: decided bits OR
-// all recorded children bits, early-exiting once both are set. Used by the
-// fallback paths (fixpoint, non-contiguous layers); the span sweep inlines
-// the same computation.
+// all recorded children bits, early-exiting once both are set.
 //lint:hotpath
 func (f *Field) nodeBits(u uint32) (m0, m1 uint64) {
 	g := f.g

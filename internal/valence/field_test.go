@@ -3,7 +3,6 @@ package valence_test
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/asyncmp"
@@ -49,14 +48,17 @@ func fieldModels(n, tf, rounds int) []struct {
 // TestFieldPropertyMatchesOracle is the defining property of the valence
 // field: for a graph explored to depth B, the field mask of every node
 // equals Oracle.Valences(state, B-depth) — the residual exploration depth
-// is the valence horizon. Checked across all nine model types, n in
-// {2,3,4}, and worker counts {1, 4, GOMAXPROCS}; the sharded sweeps must
-// also be bit-identical across worker counts. Run under -race to exercise
-// the parallel layer sharding.
+// is the valence horizon. Checked across all nine model types with n in
+// {2,3,4}, plus the largest FloodSet graph the benchmark sweeps (n=6, t=3,
+// four rounds, depth 4: 1091 nodes, widest layer 392).
 func TestFieldPropertyMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260805))
-	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
-
+	type input struct {
+		name  string
+		m     core.Model
+		depth int
+	}
+	var inputs []input
 	for _, n := range []int{2, 3, 4} {
 		tf := 1
 		if n > 2 {
@@ -68,48 +70,54 @@ func TestFieldPropertyMatchesOracle(t *testing.T) {
 			if mc.heavy && n >= 4 {
 				depth = 1
 			}
-			name := fmt.Sprintf("%s-n%d-t%d-r%d-d%d", mc.name, n, tf, rounds, depth)
-			t.Run(name, func(t *testing.T) {
-				g, err := core.ExploreID(mc.m, depth, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref := valence.NewField(g)
-				if g.Graded() {
-					// Exact horizon semantics: field mask == Valences at
-					// the residual exploration depth.
-					o := valence.NewOracle(mc.m)
-					for u := 0; u < g.Len(); u++ {
-						horizon := g.Depth - int(g.DepthOf[u])
-						want := o.Valences(g.States[u], horizon)
-						if got := ref.Mask(uint32(u)); got != want {
-							t.Fatalf("node %d (depth %d): field mask %02b != oracle %02b",
-								u, g.DepthOf[u], got, want)
-						}
-					}
-				} else {
-					// Async families at small n produce same-depth shortcut
-					// edges; the fallback's fixpoint mask is the union of
-					// decided bits over everything reachable in the
-					// explored graph. Check against a per-node closure.
-					for u := 0; u < g.Len(); u++ {
-						want := reachableDecided(g, uint32(u))
-						if got := ref.Mask(uint32(u)); got != want {
-							t.Fatalf("node %d: fixpoint mask %02b != closure %02b", u, got, want)
-						}
-					}
-				}
-				for _, w := range workerCounts {
-					f := valence.NewFieldParallel(g, w)
-					for u := 0; u < g.Len(); u++ {
-						if f.Mask(uint32(u)) != ref.Mask(uint32(u)) {
-							t.Fatalf("workers=%d: mask of node %d differs from serial", w, u)
-						}
-					}
-				}
-			})
+			inputs = append(inputs, input{fmt.Sprintf("%s-n%d-t%d-r%d-d%d", mc.name, n, tf, rounds, depth), mc.m, depth})
 		}
 	}
+	inputs = append(inputs, input{"syncmp-st-n6-t3-r4-d4", syncmp.NewSt(protocols.FloodSet{Rounds: 4}, 6, 3), 4})
+
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			g, err := core.ExploreID(in.m, in.depth, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := mustField(t, g)
+			if g.Graded() {
+				// Exact horizon semantics: field mask == Valences at
+				// the residual exploration depth.
+				o := valence.NewOracle(in.m)
+				for u := 0; u < g.Len(); u++ {
+					horizon := g.Depth - int(g.DepthOf[u])
+					want := o.Valences(g.States[u], horizon)
+					if got := f.Mask(uint32(u)); got != want {
+						t.Fatalf("node %d (depth %d): field mask %02b != oracle %02b",
+							u, g.DepthOf[u], got, want)
+					}
+				}
+				return
+			}
+			// Async families at small n produce same-depth shortcut
+			// edges; the fallback's fixpoint mask is the union of
+			// decided bits over everything reachable in the explored
+			// graph. Check against a per-node closure.
+			for u := 0; u < g.Len(); u++ {
+				want := reachableDecided(g, uint32(u))
+				if got := f.Mask(uint32(u)); got != want {
+					t.Fatalf("node %d: fixpoint mask %02b != closure %02b", u, got, want)
+				}
+			}
+		})
+	}
+}
+
+// mustField sweeps g with a context that never cancels.
+func mustField(t testing.TB, g *core.IDGraph) *valence.Field {
+	t.Helper()
+	f, err := valence.NewFieldCtx(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 // reachableDecided is the reference for the non-graded fallback: the OR of
@@ -145,7 +153,7 @@ func TestFieldConsumers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := valence.NewField(g)
+	f := mustField(t, g)
 	o := valence.NewOracle(m)
 	horizon := valence.DecreasingHorizon(bound, 0)
 
@@ -234,7 +242,7 @@ func TestFieldBivalentAtBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := valence.NewField(g)
+	f := mustField(t, g)
 	u, exec, ok := f.BivalentAtBound(1)
 	if !ok {
 		t.Fatal("no bivalent state at layer 1")

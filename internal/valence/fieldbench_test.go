@@ -11,8 +11,8 @@ import (
 )
 
 // BenchmarkFieldSweep is the kernel-level micro-benchmark grid for the
-// valence field: scalar reference engine vs bit-plane sweep, serial vs
-// parallel, graded vs fixpoint-fallback graphs. Every row reports
+// valence field: the ScalarMasks oracle vs the bit-plane sweep behind
+// NewFieldCtx, on graded and fixpoint-fallback graphs. Every row reports
 // states/sec and allocs/op, so a kernel regression shows up here without
 // running the full cmd/bench suite (`make benchfield` runs the grid in
 // -benchtime=1x smoke mode on every tier1 pass).
@@ -35,13 +35,10 @@ func BenchmarkFieldSweep(b *testing.B) {
 		}
 		return g
 	}
-	perSec := func(b *testing.B, g *core.IDGraph) {
-		b.ReportMetric(float64(g.Len())*float64(b.N)/b.Elapsed().Seconds(), "states/sec")
-	}
-
-	for _, cfg := range []struct{ n, t int }{{4, 2}, {6, 1}} {
-		g := graded(cfg.n, cfg.t)
-		name := fmt.Sprintf("graded/n=%d/t=%d", cfg.n, cfg.t)
+	rows := func(name string, g *core.IDGraph) {
+		perSec := func(b *testing.B) {
+			b.ReportMetric(float64(g.Len())*float64(b.N)/b.Elapsed().Seconds(), "states/sec")
+		}
 		b.Run(name+"/scalar", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -49,83 +46,21 @@ func BenchmarkFieldSweep(b *testing.B) {
 					b.Fatal("size mismatch")
 				}
 			}
-			perSec(b, g)
+			perSec(b)
 		})
-		b.Run(name+"/planes-serial", func(b *testing.B) {
+		b.Run(name+"/planes", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if valence.NewField(g).Len() != g.Len() {
-					b.Fatal("size mismatch")
+				if f, err := valence.NewFieldCtx(nil, g); err != nil || f.Len() != g.Len() {
+					b.Fatal("field sweep failed:", err)
 				}
 			}
-			perSec(b, g)
-		})
-		b.Run(name+"/planes-parallel", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if valence.NewFieldParallel(g, 2).Len() != g.Len() {
-					b.Fatal("size mismatch")
-				}
-			}
-			perSec(b, g)
-		})
-		b.Run(name+"/planes-arena", func(b *testing.B) {
-			var s valence.Sweep
-			s.Field(g, 1) // warm
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if s.Field(g, 1).Len() != g.Len() {
-					b.Fatal("size mismatch")
-				}
-			}
-			perSec(b, g)
+			perSec(b)
 		})
 	}
 
-	g := fixpoint(300)
-	b.Run("fixpoint/chain=300/scalar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if len(valence.ScalarMasks(g)) != g.Len() {
-				b.Fatal("size mismatch")
-			}
-		}
-		perSec(b, g)
-	})
-	b.Run("fixpoint/chain=300/planes", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if valence.NewField(g).Len() != g.Len() {
-				b.Fatal("size mismatch")
-			}
-		}
-		perSec(b, g)
-	})
-}
-
-// BenchmarkCertifyGraphArena is BenchmarkCertifyGraph through the reused
-// Sweep: the zero-alloc steady state the experiment drivers run in.
-func BenchmarkCertifyGraphArena(b *testing.B) {
-	for _, cfg := range []struct{ n, t int }{{5, 1}, {6, 1}} {
-		b.Run(fmt.Sprintf("floodset/n=%d/t=%d", cfg.n, cfg.t), func(b *testing.B) {
-			m := syncmp.NewSt(protocols.FloodSet{Rounds: cfg.t + 1}, cfg.n, cfg.t)
-			g, err := core.ExploreIDParallel(m, cfg.t+1, 0, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var s valence.Sweep
-			if _, err := s.CertifyGraph(g, 0); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w, err := s.CertifyGraph(g, 0)
-				if err != nil || w.Kind != valence.OK {
-					b.Fatal(err, w.Kind)
-				}
-			}
-		})
+	for _, cfg := range []struct{ n, t int }{{4, 2}, {6, 1}} {
+		rows(fmt.Sprintf("graded/n=%d/t=%d", cfg.n, cfg.t), graded(cfg.n, cfg.t))
 	}
+	rows("fixpoint/chain=300", fixpoint(300))
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"testing"
 
@@ -38,7 +37,7 @@ func (s wmState) FailedAt(int) bool { return false }
 // wideModel is a graded model with `width` nodes at every layer: node
 // (d, i) steps to (d+1, i) and (d+1, (i+1) mod width), and the layer at
 // `depth` decides idx mod 2. Its layers are wide enough to span several
-// 64-node words, which is what the word-aligned sharding tests need.
+// 64-node words, so layer boundaries fall inside plane words.
 type wideModel struct{ width, depth int }
 
 func (m wideModel) Name() string { return "test/wide" }
@@ -111,15 +110,12 @@ func (m chainModel) Successors(x core.State) []core.Succ {
 	return []core.Succ{{Action: "s", State: chState{id: s.id - 1, decide: -1}}}
 }
 
-// TestFieldShardWordAlignment sweeps a graph whose layers span several
-// 64-node words with explicit worker counts and requires bit-identity with
-// the serial sweep and the scalar reference engine. Run under -race (the
-// Makefile race target does), it is the guard the shard geometry is pinned
-// by: shards must be cut on whole-word boundaries, and a reintroduced
-// sub-word split would make two workers read-modify-write the same plane
-// word — a write-write race the detector flags even when the masks happen
-// to come out right.
-func TestFieldShardWordAlignment(t *testing.T) {
+// TestFieldLayerWordBoundary sweeps a graph whose 200-node layers span
+// several 64-node words, so every layer boundary (ids 200, 400, 600) cuts
+// a plane word shared with the deeper, already-final layer. The per-node
+// merge must preserve those bits: masks are bit-identical to the
+// ScalarMasks oracle.
+func TestFieldLayerWordBoundary(t *testing.T) {
 	g, err := core.ExploreID(wideModel{width: 200, depth: 3}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -130,19 +126,8 @@ func TestFieldShardWordAlignment(t *testing.T) {
 	if lo, hi, ok := g.LayerSpan(1); !ok || hi-lo != 200 {
 		t.Fatalf("LayerSpan(1) = [%d,%d) ok=%v, want a 200-node window", lo, hi, ok)
 	}
-	scalar := valence.ScalarMasks(g)
-	serial := valence.NewField(g)
-	if !bytes.Equal(serial.Masks(), scalar) {
-		t.Fatal("serial bit-plane field differs from scalar reference")
-	}
-	// 200-node layers occupy 4 plane words, so worker counts 2..4 produce
-	// genuinely concurrent word-range shards (explicit counts bypass the
-	// fieldShardMin heuristic).
-	for _, workers := range []int{2, 3, 4, runtime.GOMAXPROCS(0)} {
-		f := valence.NewFieldParallel(g, workers)
-		if !bytes.Equal(f.Masks(), scalar) {
-			t.Fatalf("workers=%d: sharded field differs from scalar reference", workers)
-		}
+	if !bytes.Equal(mustField(t, g).Masks(), valence.ScalarMasks(g)) {
+		t.Fatal("bit-plane field differs from ScalarMasks")
 	}
 }
 
@@ -164,7 +149,7 @@ func TestFieldFixpointWordBoundary(t *testing.T) {
 	if g.Len() != k+2 {
 		t.Fatalf("graph has %d nodes, want %d", g.Len(), k+2)
 	}
-	f := valence.NewField(g)
+	f := mustField(t, g)
 	scalar := valence.ScalarMasks(g)
 	if !bytes.Equal(f.Masks(), scalar) {
 		t.Fatal("fixpoint bit-plane field differs from scalar reference")
@@ -176,12 +161,10 @@ func TestFieldFixpointWordBoundary(t *testing.T) {
 	}
 }
 
-// TestFieldMatchesScalarPlanes is the tentpole's pinning property: across
-// all nine model families, graded and fixpoint graphs, worker counts
-// {1, 2, GOMAXPROCS}, and a checkpoint/resume cut, the bit-plane field is
-// bit-for-bit identical to the retained scalar reference engine.
+// TestFieldMatchesScalarPlanes pins the bit-plane field to the ScalarMasks
+// oracle across all nine model families, graded and fixpoint graphs, and a
+// checkpoint/resume cut.
 func TestFieldMatchesScalarPlanes(t *testing.T) {
-	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for _, n := range []int{2, 3} {
 		for _, mc := range fieldModels(n, 1, 2) {
 			depth := 2
@@ -194,18 +177,8 @@ func TestFieldMatchesScalarPlanes(t *testing.T) {
 					t.Fatal(err)
 				}
 				scalar := valence.ScalarMasks(g)
-				for _, workers := range workerCounts {
-					f := valence.NewFieldParallel(g, workers)
-					if !bytes.Equal(f.Masks(), scalar) {
-						t.Fatalf("workers=%d: bit-plane field differs from scalar (graded=%v)", workers, g.Graded())
-					}
-				}
-				// A reused Sweep (arena-backed planes) must agree too.
-				var s valence.Sweep
-				for i := 0; i < 2; i++ {
-					if !bytes.Equal(s.Field(g, 1).Masks(), scalar) {
-						t.Fatalf("sweep pass %d: arena-backed field differs from scalar", i)
-					}
+				if !bytes.Equal(mustField(t, g).Masks(), scalar) {
+					t.Fatalf("bit-plane field differs from scalar (graded=%v)", g.Graded())
 				}
 				if !g.Graded() {
 					return // the fixpoint fallback is not checkpointed
@@ -215,12 +188,12 @@ func TestFieldMatchesScalarPlanes(t *testing.T) {
 				plan := chaos.NewPlan().Set("field.layer",
 					chaos.Rule{Hit: uint64(1 + g.NumLayers()/2), Kind: chaos.KindCancel})
 				chaos.Arm(plan)
-				_, perr := valence.NewFieldParallelCtx(nil, g, 2)
+				_, perr := valence.NewFieldCtx(nil, g)
 				chaos.Disarm()
 				if !errors.Is(perr, resilient.ErrPartial) {
 					t.Fatalf("cut err = %v, want ErrPartial family", perr)
 				}
-				got, rerr := valence.NewFieldParallelCtx(resumeCtx(t, perr), g, 2)
+				got, rerr := valence.NewFieldCtx(resumeCtx(t, perr), g)
 				if rerr != nil {
 					t.Fatal(rerr)
 				}

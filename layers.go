@@ -224,14 +224,6 @@ func ExploreIDParallel(m Model, depth, maxNodes, workers int) (*IDGraph, error) 
 	return core.ExploreIDParallel(m, depth, maxNodes, workers)
 }
 
-// NewField computes the valence field of an explored graph: every node's
-// mask in one deepest-first sweep, no recursion, no maps.
-func NewField(g *IDGraph) *Field { return valence.NewField(g) }
-
-// NewFieldParallel is NewField with each layer's OR-propagation sharded
-// across `workers` goroutines; the result is bit-identical.
-func NewFieldParallel(g *IDGraph, workers int) *Field { return valence.NewFieldParallel(g, workers) }
-
 // ErrNotGraded is returned by CertifyGraph for graphs with same-depth
 // shortcut edges (which the asynchronous models produce at small n).
 var ErrNotGraded = valence.ErrNotGraded
@@ -304,13 +296,6 @@ var ErrMemory = resilient.ErrMemory
 // as a degradation signal.
 func SetSoftMemLimit(bytes int64) { resilient.SetSoftMemLimit(bytes) }
 
-// NewFieldScalarCtx computes the valence field with the serial scalar
-// kernel — the degradation ladder's last rung. The result is bit-identical
-// to NewFieldParallel's, and the two kernels share checkpoints.
-func NewFieldScalarCtx(ctx *Ctx, g *IDGraph) (*Field, error) {
-	return valence.NewFieldScalarCtx(ctx, g)
-}
-
 // Background returns a cancelable context with no deadline.
 func Background() *Ctx { return resilient.Background() }
 
@@ -363,15 +348,18 @@ func CertifyFastCtx(ctx *Ctx, m Model, bound, maxVisits int) (*Witness, error) {
 	return valence.CertifyFastCtx(ctx, m, bound, maxVisits)
 }
 
-// NewFieldCtx is NewField under a cancellation context.
+// NewFieldCtx computes the valence field of an explored graph — every
+// node's mask in one deepest-first sweep — under a cancellation context
+// (nil never cancels), with checkpoint/resume of the sweep.
 func NewFieldCtx(ctx *Ctx, g *IDGraph) (*Field, error) {
 	return valence.NewFieldCtx(ctx, g)
 }
 
-// NewFieldParallelCtx is NewFieldParallel under a cancellation context,
-// with checkpoint/resume of the sweep.
+// NewFieldParallelCtx is NewFieldCtx; workers is ignored.
+//
+// Deprecated: use NewFieldCtx. The field sweep is serial.
 func NewFieldParallelCtx(ctx *Ctx, g *IDGraph, workers int) (*Field, error) {
-	return valence.NewFieldParallelCtx(ctx, g, workers)
+	return valence.NewFieldCtx(ctx, g)
 }
 
 // NewKnowledgeClassesLayer computes the common-knowledge partition of one
