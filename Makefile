@@ -4,11 +4,17 @@ GO ?= go
 
 all: tier1
 
+# build and vet also cover the nested e2ebench module (its own go.mod, so
+# the root ./... skips it): the benchmark client calls the public facade,
+# and a facade change that breaks it must fail here. -o /dev/null keeps the
+# single-main-package build from writing a binary into e2ebench/.
 build:
 	$(GO) build ./...
+	cd e2ebench && $(GO) build -o /dev/null ./...
 
 vet:
 	$(GO) vet ./...
+	cd e2ebench && $(GO) vet ./...
 
 # lint runs the engine-invariant analyzer suite (internal/analysis) over
 # the whole module: detorder, internfreeze, obsguard, senterr, parshard,

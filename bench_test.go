@@ -32,7 +32,7 @@ func BenchmarkE1_InitialConnectivity(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			p := protocols.FloodSet{Rounds: 2}
 			m := layers.MobileS1(p, n)
-			g, err := layers.ExploreIDParallel(m, 2, 0, 0)
+			g, err := layers.ExploreIDCtx(nil, m, 2, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -72,14 +72,14 @@ func BenchmarkE2_MobileImpossibility(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/B=%d", cfg.n, cfg.bound), func(b *testing.B) {
 			p := protocols.FloodSet{Rounds: cfg.bound}
 			m := layers.MobileS1(p, cfg.n)
-			g, err := layers.ExploreIDParallel(m, cfg.bound, 0, 0)
+			g, err := layers.ExploreIDCtx(nil, m, cfg.bound, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			var explored int
 			for i := 0; i < b.N; i++ {
-				w, err := layers.CertifyGraph(g, 0)
+				w, err := layers.CertifyGraphCtx(nil, g, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -100,7 +100,7 @@ func BenchmarkE3_ShmemSynchronic(b *testing.B) {
 	b.Run("layer-analysis/n=3", func(b *testing.B) {
 		p := protocols.SMVote{Phases: 2}
 		m := layers.SharedMemory(p, 3)
-		g, err := layers.ExploreIDParallel(m, 3, 0, 0)
+		g, err := layers.ExploreIDCtx(nil, m, 3, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,14 +122,14 @@ func BenchmarkE3_ShmemSynchronic(b *testing.B) {
 	b.Run("certify/n=3/B=1", func(b *testing.B) {
 		p := protocols.SMVote{Phases: 1}
 		m := layers.SharedMemory(p, 3)
-		g, err := layers.ExploreIDParallel(m, 1, 0, 0)
+		g, err := layers.ExploreIDCtx(nil, m, 1, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		var explored int
 		for i := 0; i < b.N; i++ {
-			w, err := layers.CertifyGraph(g, 0)
+			w, err := layers.CertifyGraphCtx(nil, g, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -159,14 +159,14 @@ func BenchmarkE4_PermutationLayering(b *testing.B) {
 	b.Run("certify/n=3/B=1", func(b *testing.B) {
 		p := protocols.MPFlood{Phases: 1}
 		m := layers.AsyncMessagePassing(p, 3)
-		g, err := layers.ExploreIDParallel(m, 1, 0, 0)
+		g, err := layers.ExploreIDCtx(nil, m, 1, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		var explored int
 		for i := 0; i < b.N; i++ {
-			w, err := layers.CertifyGraph(g, 0)
+			w, err := layers.CertifyGraphCtx(nil, g, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -188,14 +188,14 @@ func BenchmarkE5_SyncLowerBound(b *testing.B) {
 		b.Run(fmt.Sprintf("certify/n=%d/t=%d", cfg.n, cfg.t), func(b *testing.B) {
 			p := protocols.FloodSet{Rounds: cfg.t + 1}
 			m := layers.SyncSt(p, cfg.n, cfg.t)
-			g, err := layers.ExploreIDParallel(m, cfg.t+1, 0, 0)
+			g, err := layers.ExploreIDCtx(nil, m, cfg.t+1, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			var explored int
 			for i := 0; i < b.N; i++ {
-				w, err := layers.CertifyGraph(g, 0)
+				w, err := layers.CertifyGraphCtx(nil, g, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -210,14 +210,14 @@ func BenchmarkE5_SyncLowerBound(b *testing.B) {
 		b.Run(fmt.Sprintf("refute/n=%d/t=%d", cfg.n, cfg.t), func(b *testing.B) {
 			p := protocols.FloodSet{Rounds: cfg.t}
 			m := layers.SyncSt(p, cfg.n, cfg.t)
-			g, err := layers.ExploreIDParallel(m, cfg.t, 0, 0)
+			g, err := layers.ExploreIDCtx(nil, m, cfg.t, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			var depth int
 			for i := 0; i < b.N; i++ {
-				w, err := layers.CertifyGraph(g, 0)
+				w, err := layers.CertifyGraphCtx(nil, g, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -242,7 +242,7 @@ func BenchmarkE6_FastUnivalence(b *testing.B) {
 			rounds := cfg.t + 1
 			p := protocols.FloodSet{Rounds: rounds}
 			m := layers.SyncSt(p, cfg.n, cfg.t)
-			g, err := layers.ExploreIDParallel(m, rounds, 0, 0)
+			g, err := layers.ExploreIDCtx(nil, m, rounds, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -300,7 +300,7 @@ func BenchmarkE8_DiameterRecurrence(b *testing.B) {
 	const n, t, depth = 3, 2, 2
 	p := protocols.FullInfo{}
 	m := layers.SyncSt(p, n, t)
-	g, err := layers.ExploreIDParallel(m, depth, 0, 0)
+	g, err := layers.ExploreIDCtx(nil, m, depth, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func BenchmarkE9_Extensions(b *testing.B) {
 	b.Run("wasted-faults/n=4/t=2/c=2", func(b *testing.B) {
 		const n, tt, c, rounds = 4, 2, 2, 3
 		m := layers.SyncStMulti(protocols.FloodSet{Rounds: rounds}, n, tt, c)
-		g, err := layers.ExploreIDParallel(m, rounds, 0, 0)
+		g, err := layers.ExploreIDCtx(nil, m, rounds, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -376,14 +376,14 @@ func BenchmarkE9_Extensions(b *testing.B) {
 	})
 	b.Run("early-decision/n=4/t=2", func(b *testing.B) {
 		m := layers.SyncSt(layers.EarlyFloodSet{MaxRounds: 3}, 4, 2)
-		g, err := layers.ExploreIDParallel(m, 3, 0, 0)
+		g, err := layers.ExploreIDCtx(nil, m, 3, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		var explored int
 		for i := 0; i < b.N; i++ {
-			w, err := layers.CertifyGraph(g, 0)
+			w, err := layers.CertifyGraphCtx(nil, g, 0)
 			if err != nil || w.Kind != layers.OK {
 				b.Fatal(err, w.Kind)
 			}
@@ -450,7 +450,7 @@ func BenchmarkExplore(b *testing.B) {
 						var shared core.Interner
 						if mode == "warm" {
 							shared = newCache(impl)
-							if _, err := core.ExploreIDWith(shared, tc.m, tc.depth, 0, w); err != nil {
+							if _, err := core.ExploreIDCtxWith(nil, shared, tc.m, tc.depth, 0, w); err != nil {
 								b.Fatal(err)
 							}
 						}
@@ -464,7 +464,7 @@ func BenchmarkExplore(b *testing.B) {
 								c = newCache(impl)
 							}
 							var err error
-							g, err = core.ExploreIDWith(c, tc.m, tc.depth, 0, w)
+							g, err = core.ExploreIDCtxWith(nil, c, tc.m, tc.depth, 0, w)
 							if err != nil {
 								b.Fatal(err)
 							}
@@ -549,7 +549,7 @@ func BenchmarkResilience(b *testing.B) {
 		}
 	})
 	m := layers.MobileS1(protocols.FloodSet{Rounds: 2}, 5)
-	g, err := layers.ExploreIDParallel(m, 2, 0, 0)
+	g, err := layers.ExploreIDCtx(nil, m, 2, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -620,7 +620,7 @@ func BenchmarkE11_CommonKnowledge(b *testing.B) {
 	const n, tt = 3, 1
 	rounds := tt + 1
 	m := layers.SyncSt(layers.FloodSet{Rounds: rounds}, n, tt)
-	g, err := layers.ExploreIDParallel(m, rounds, 0, 0)
+	g, err := layers.ExploreIDCtx(nil, m, rounds, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -664,7 +664,7 @@ func BenchmarkObsPhases(b *testing.B) {
 		defer obs.Disable()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := layers.ExploreIDParallel(m, 2, 0, 0); err != nil {
+			if _, err := layers.ExploreIDCtx(nil, m, 2, 0, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -677,7 +677,7 @@ func BenchmarkObsPhases(b *testing.B) {
 	b.Run("certify/n=4/t=2", func(b *testing.B) {
 		p := protocols.FloodSet{Rounds: 3}
 		m := layers.SyncSt(p, 4, 2)
-		g, err := layers.ExploreIDParallel(m, 3, 0, 0)
+		g, err := layers.ExploreIDCtx(nil, m, 3, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -686,7 +686,7 @@ func BenchmarkObsPhases(b *testing.B) {
 		defer obs.Disable()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			w, err := layers.CertifyGraph(g, 0)
+			w, err := layers.CertifyGraphCtx(nil, g, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -250,7 +250,7 @@ func e6(ctx *layers.Ctx) error {
 		rounds := cfg.t + 1
 		p := layers.FloodSet{Rounds: rounds}
 		m := layers.SyncSt(p, cfg.n, cfg.t)
-		g, err := layers.ExploreCtx(ctx, m, rounds-1, 0)
+		g, err := layers.ExploreIDCtx(ctx, m, rounds-1, 0, 1)
 		if err != nil {
 			return err
 		}
@@ -299,7 +299,7 @@ func e7(ctx *layers.Ctx) error {
 func e8(ctx *layers.Ctx) error {
 	const n, t, depth = 3, 2, 2
 	m := layers.SyncSt(protocols.FullInfo{}, n, t)
-	g, err := layers.ExploreCtx(ctx, m, depth, 0)
+	g, err := layers.ExploreIDCtx(ctx, m, depth, 0, 1)
 	if err != nil {
 		return err
 	}
@@ -334,7 +334,7 @@ func e9(ctx *layers.Ctx) error {
 		const n, tt, c = 4, 2, 2
 		rounds := tt + 1
 		m := layers.SyncStMulti(protocols.FloodSet{Rounds: rounds}, n, tt, c)
-		g, err := layers.ExploreCtx(ctx, m, rounds, 0)
+		g, err := layers.ExploreIDCtx(ctx, m, rounds, 0, 1)
 		if err != nil {
 			return err
 		}

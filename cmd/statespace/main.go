@@ -66,7 +66,7 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	g, err := core.ExploreCtx(ctx, m, *depth, 1_000_000)
+	g, err := core.ExploreIDCtx(ctx, m, *depth, 1_000_000, 1)
 	if err != nil {
 		if errors.Is(err, resilient.ErrPartial) && !errors.Is(err, core.ErrNodeBudget) {
 			// Canceled or past deadline: save the checkpoint, report the

@@ -75,7 +75,7 @@ func run() error {
 	// state at round r still satisfies r <= failures <= t-1.
 	multi := layers.SyncStMulti(layers.FloodSet{Rounds: 3}, 4, 2, 2)
 	om := layers.NewOracle(multi)
-	g, err := layers.Explore(multi, 3, 0)
+	g, err := layers.ExploreIDCtx(nil, multi, 3, 0, 1)
 	if err != nil {
 		return err
 	}

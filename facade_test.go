@@ -32,9 +32,38 @@ func TestFacadeModelConstructors(t *testing.T) {
 	}
 }
 
+// TestFacadeExploreCtxShim pins the deprecated ExploreCtx forwarder that
+// the benchmark client still calls: its Graph holds the graph ExploreIDCtx
+// builds, and Dense and StatesAtDepth read through to it.
+func TestFacadeExploreCtxShim(t *testing.T) {
+	m := layers.SyncSt(layers.FloodSet{Rounds: 2}, 3, 1)
+	g, err := layers.ExploreCtx(nil, m, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := layers.ExploreIDCtx(nil, m, 2, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Dense() != g.IDGraph || g.Len() != want.Len() {
+		t.Fatalf("shim graph has %d nodes, ExploreIDCtx %d", g.Len(), want.Len())
+	}
+	for d := 0; d <= 2; d++ {
+		got, exp := g.StatesAtDepth(d), want.StatesAtDepth(d)
+		if len(got) != len(exp) {
+			t.Fatalf("depth %d: %d states, want %d", d, len(got), len(exp))
+		}
+		for i := range got {
+			if got[i].Key() != exp[i].Key() {
+				t.Fatalf("depth %d state %d differs", d, i)
+			}
+		}
+	}
+}
+
 func TestFacadeAnalysisHelpers(t *testing.T) {
 	m := layers.MobileS1(layers.FloodSet{Rounds: 2}, 3)
-	g, err := layers.Explore(m, 1, 0)
+	g, err := layers.ExploreIDCtx(nil, m, 1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,10 @@ import (
 
 // DetOrder enforces the determinism contract of the engine packages: the
 // golden experiment outputs, the bit-identical parallel/serial equivalence
-// of ExploreParallel and CertifyParallel, and the witness equality of
-// CertifyGraph vs Certify all assume that every traversal the engine makes
-// is a pure function of the model. Three constructs silently break that:
+// of ExploreIDCtx across worker counts and of CertifyParallel, and the
+// witness equality of CertifyGraphCtx vs Certify all assume that every
+// traversal the engine makes is a pure function of the model. Three
+// constructs silently break that:
 //
 //   - ranging over a map (iteration order is randomized per run),
 //   - reading the wall clock (time.Now),

@@ -8,7 +8,7 @@ import (
 )
 
 // ParShard enforces worker-spawn hygiene at the engine's parallel fan-out
-// sites (ExploreParallel's frontier shards, CertifyParallel's root
+// sites (ExploreIDCtx's frontier warmers, CertifyParallel's root
 // workers). Two bugs recur in hand-rolled worker pools and
 // both destroy the engine's bit-identical parallel/serial equivalence or
 // deadlock it outright:

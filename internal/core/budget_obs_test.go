@@ -21,7 +21,7 @@ import (
 func TestExploreBudgetReachedDepth(t *testing.T) {
 	const n = 3
 	m := mobile.New(protocols.FloodSet{Rounds: 3}, n)
-	g, err := core.ExploreID(m, 3, 40)
+	g, err := core.ExploreIDCtx(nil, m, 3, 40, 1)
 	if !errors.Is(err, core.ErrNodeBudget) {
 		t.Fatalf("err = %v, want ErrNodeBudget", err)
 	}
@@ -48,23 +48,6 @@ func TestExploreBudgetReachedDepth(t *testing.T) {
 	if got := g.ReachedDepth(); got > g.Depth {
 		t.Errorf("ReachedDepth() = %d exceeds bound %d", got, g.Depth)
 	}
-	// The legacy view agrees, and the error message names the same depth.
-	if lg := g.Legacy(); lg.ReachedDepth() != g.ReachedDepth() {
-		t.Errorf("Legacy().ReachedDepth() = %d, want %d", lg.ReachedDepth(), g.ReachedDepth())
-	}
-}
-
-// TestGraphReachedDepthHandBuilt covers the fallback for Graphs not built
-// by Explore (no dense form): the deepest DepthOf entry wins.
-func TestGraphReachedDepthHandBuilt(t *testing.T) {
-	g := &core.Graph{DepthOf: map[string]int{"a": 0, "b": 1, "c": 4}}
-	if got := g.ReachedDepth(); got != 4 {
-		t.Errorf("ReachedDepth() = %d, want 4", got)
-	}
-	empty := &core.Graph{}
-	if got := empty.ReachedDepth(); got != -1 {
-		t.Errorf("empty ReachedDepth() = %d, want -1", got)
-	}
 }
 
 // TestExploreObsCounters checks the exploration instrumentation: node and
@@ -79,7 +62,7 @@ func TestExploreObsCounters(t *testing.T) {
 	defer obs.Disable()
 
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
-	g, err := core.ExploreID(m, 2, 0)
+	g, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +121,7 @@ func TestExploreObsBudgetEvent(t *testing.T) {
 	defer obs.Disable()
 
 	m := mobile.New(protocols.FloodSet{Rounds: 3}, 3)
-	g, err := core.ExploreID(m, 3, 25)
+	g, err := core.ExploreIDCtx(nil, m, 3, 25, 1)
 	if !errors.Is(err, core.ErrNodeBudget) {
 		t.Fatalf("err = %v, want ErrNodeBudget", err)
 	}

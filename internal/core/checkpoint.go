@@ -147,18 +147,13 @@ func DecodeExploreCheckpoint(data []byte) (*ExploreCheckpoint, error) {
 	return ck, nil
 }
 
-// ResumeExploreID restores the snapshot against m and finishes the
-// exploration from the saved layer boundary. Node numbering, edge order,
-// depths, and any later budget or interruption point are bit-identical to
-// an uninterrupted run: the CSR prefix comes straight from the snapshot and
+// resumeExploreID restores the snapshot against m and finishes the
+// exploration from the saved layer boundary, drawing on the successor cache
+// c; ExploreIDCtxWith routes resumes here so an exploration started on a
+// given Interner continues on it. Node numbering, edge order, depths, and
+// any later budget or interruption point are bit-identical to an
+// uninterrupted run: the CSR prefix comes straight from the snapshot and
 // the continuation sees the identical frontier in the identical order.
-func ResumeExploreID(ctx *resilient.Ctx, m Model, ck *ExploreCheckpoint, workers int) (*IDGraph, error) {
-	return resumeExploreID(ctx, CacheOf(m), m, ck, workers)
-}
-
-// resumeExploreID is ResumeExploreID against an explicit successor cache;
-// ExploreIDCtxWith routes resumes here so an exploration started on a given
-// Interner continues on it.
 func resumeExploreID(ctx *resilient.Ctx, c Interner, m Model, ck *ExploreCheckpoint, workers int) (*IDGraph, error) {
 	rec := obs.Active()
 	defer obs.Span(rec, "explore.time")()

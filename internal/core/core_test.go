@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"errors"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -14,28 +16,28 @@ func TestExploreDepthAndCounts(t *testing.T) {
 	const n = 3
 	p := protocols.FloodSet{Rounds: 2}
 	m := mobile.New(p, n)
-	g, err := core.Explore(m, 2, 0)
+	g, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(g.InitKeys); got != 1<<n {
-		t.Errorf("init keys = %d, want %d", got, 1<<n)
+	if got := len(g.Inits); got != 1<<n {
+		t.Errorf("inits = %d, want %d", got, 1<<n)
 	}
 	if got := len(g.StatesAtDepth(0)); got != 1<<n {
 		t.Errorf("states at depth 0 = %d, want %d", got, 1<<n)
 	}
 	// Every depth-0 state has recorded edges; deepest states have none.
-	for _, k := range g.InitKeys {
-		if len(g.Edges[k]) == 0 {
-			t.Errorf("initial state %q has no recorded edges", k)
+	for _, u := range g.Inits {
+		if actions, _ := g.Out(u); len(actions) == 0 {
+			t.Errorf("initial state %q has no recorded edges", g.Keys[u])
 		}
 	}
-	for _, x := range g.StatesAtDepth(2) {
-		if len(g.Edges[x.Key()]) != 0 {
+	for _, u := range g.Layer(2) {
+		if actions, _ := g.Out(u); len(actions) != 0 {
 			t.Error("frontier state has recorded edges")
 		}
 	}
-	if err := g.CheckDeterminism(m); err != nil {
+	if err := g.CheckDeterminism(); err != nil {
 		t.Error(err)
 	}
 }
@@ -44,7 +46,7 @@ func TestExploreBudget(t *testing.T) {
 	const n = 3
 	p := protocols.FloodSet{Rounds: 3}
 	m := mobile.New(p, n)
-	g, err := core.Explore(m, 3, 10)
+	g, err := core.ExploreIDCtx(nil, m, 3, 10, 1)
 	if !errors.Is(err, core.ErrNodeBudget) {
 		t.Errorf("err = %v, want ErrNodeBudget", err)
 	}
@@ -52,21 +54,43 @@ func TestExploreBudget(t *testing.T) {
 	if g == nil || g.Len() != 10 {
 		t.Fatalf("partial graph = %v, want 10 nodes", g)
 	}
-	if len(g.InitKeys) != 1<<n {
-		t.Errorf("partial graph lost init keys: %d", len(g.InitKeys))
+	if len(g.Inits) != 1<<n {
+		t.Errorf("partial graph lost inits: %d", len(g.Inits))
 	}
 }
 
-// TestErrDepthExceededAlias pins the deprecated alias for external users:
-// ErrDepthExceeded must remain the same error value as ErrNodeBudget so
-// that errors.Is works through either name.
-func TestErrDepthExceededAlias(t *testing.T) {
-	if core.ErrDepthExceeded != core.ErrNodeBudget { //lint:sentinel alias identity is the property under test
-		t.Fatal("ErrDepthExceeded is no longer an alias of ErrNodeBudget")
+// flakyModel wraps a model whose successor function drops the last
+// successor of a state from its second enumeration on. Not safe for
+// concurrent use: explore it with one worker.
+type flakyModel struct {
+	core.Model
+	calls map[string]int
+}
+
+func (m *flakyModel) Successors(x core.State) []core.Succ {
+	m.calls[x.Key()]++
+	succs := m.Model.Successors(x)
+	if m.calls[x.Key()] > 1 {
+		return succs[:len(succs)-1]
 	}
-	if !errors.Is(core.ErrDepthExceeded, core.ErrNodeBudget) ||
-		!errors.Is(core.ErrNodeBudget, core.ErrDepthExceeded) {
-		t.Fatal("alias identity not symmetric under errors.Is")
+	return succs
+}
+
+// TestCheckDeterminismReportsChange pins the failure path: a successor
+// function whose second enumeration differs from the first is reported,
+// naming the first expanded node in id order.
+func TestCheckDeterminismReportsChange(t *testing.T) {
+	m := &flakyModel{Model: mobile.New(protocols.FloodSet{Rounds: 2}, 3), calls: map[string]int{}}
+	g, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = g.CheckDeterminism()
+	if err == nil {
+		t.Fatal("CheckDeterminism accepted a successor function that changed")
+	}
+	if want := g.Keys[g.Inits[0]]; !strings.Contains(err.Error(), "successor count changed for state "+strconv.Quote(want)) {
+		t.Errorf("err = %v, want a count change at the first init %q", err, want)
 	}
 }
 

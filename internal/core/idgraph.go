@@ -12,11 +12,19 @@ import (
 	"repro/internal/resilient"
 )
 
+// ErrNodeBudget is returned by ExploreIDCtx when the reachable state graph
+// exceeds the configured node budget before the depth bound is reached. The
+// partial graph explored so far is returned alongside the wrapped error, so
+// callers can report how far exploration got. As a resilient.Sentinel it
+// wraps resilient.ErrPartial, joining the canceled/deadline family under
+// one degradation check.
+var ErrNodeBudget = resilient.Sentinel("core: exploration exceeded node budget")
+
 // IDGraph is the dense-id form of an explored reachable state graph: nodes
 // are uint32 ids assigned in BFS discovery order (deterministic for a
 // deterministic model), and edges live in flat CSR arrays instead of
-// per-key maps. It is the substrate the string-keyed Graph is built from;
-// analyses that sweep the whole graph should prefer this form.
+// per-key maps. Every explored graph in the framework has this one form;
+// ExploreIDCtx builds it.
 type IDGraph struct {
 	// Depth is the exploration depth bound.
 	Depth int
@@ -38,7 +46,7 @@ type IDGraph struct {
 	EdgeTo     []uint32
 	// Cache is the successor cache the exploration drew from (the model's
 	// shared sharded cache when it has one, or the explicit Interner handed
-	// to ExploreIDWith); later passes over the same model reuse its
+	// to ExploreIDCtxWith); later passes over the same model reuse its
 	// enumeration work.
 	Cache Interner
 
@@ -222,8 +230,8 @@ func (g *IDGraph) NodeOfCacheID(cid uint32) (uint32, bool) {
 
 // layout runs the CSR layout pass once: it checks that every depth layer is
 // one contiguous run of node ids and records the per-layer windows. BFS
-// discovery assigns ids layer by layer, so graphs built by ExploreID always
-// satisfy this; the pass turns the construction invariant into a checked
+// discovery assigns ids layer by layer, so graphs built by ExploreIDCtx
+// always satisfy this; the pass turns the construction invariant into a checked
 // property the layer sweeps (decision, knowledge) can rely on. With
 // contiguous layers a layer's nodes are the id range [lo, hi), its edges
 // the CSR range [EdgeStart[lo], EdgeStart[hi]) — both sequential in
@@ -360,33 +368,24 @@ func (g *IDGraph) padEdgeStart() {
 	}
 }
 
-// ExploreID builds the dense-id reachable state graph of m to the given
+// ExploreIDCtx builds the dense-id reachable state graph of m to the given
 // depth, drawing successors from the model's shared cache when it has one.
 // maxNodes bounds the number of distinct states (0 = no bound); on budget
 // exhaustion the partial graph explored so far is returned alongside the
-// wrapped ErrNodeBudget.
-func ExploreID(m Model, depth, maxNodes int) (*IDGraph, error) {
-	return ExploreIDCtx(nil, m, depth, maxNodes, 1)
-}
-
-// ExploreIDParallel is ExploreID with the successor enumeration of each
-// frontier sharded across workers goroutines (workers <= 0 means
-// GOMAXPROCS). Per-worker results land in the shared successor cache and
-// are merged in frontier order by a single goroutine, so the resulting
-// graph — node numbering, edge order, depths, and any budget-exhaustion
-// point — is bit-identical to ExploreID's.
-func ExploreIDParallel(m Model, depth, maxNodes, workers int) (*IDGraph, error) {
-	return ExploreIDCtx(nil, m, depth, maxNodes, workers)
-}
-
-// ExploreIDCtx is ExploreIDParallel under a cancellation context.
-// Cancellation (and the chaos explore.layer fault point) is checked once
-// per layer, so a live run pays one atomic load per BFS depth; worker
-// goroutines additionally poll per shard. When the context fires, the
-// partial graph explored to the last completed layer is returned alongside
-// a wrapped ErrCanceled/ErrDeadline carrying a resilient.Checkpointer for
-// the cut, and the unresolved frontier is the deepest populated layer
-// (g.Layer(g.ReachedDepth())).
+// wrapped ErrNodeBudget. Each BFS frontier's successor enumeration is
+// sharded across workers goroutines (workers <= 0 means GOMAXPROCS; 1 runs
+// serially); per-worker results land in the shared successor cache and are
+// merged in frontier order by a single goroutine, so the resulting graph —
+// node numbering, edge order, depths, and any budget-exhaustion point — is
+// bit-identical for every worker count.
+//
+// A nil ctx never cancels. Cancellation (and the chaos explore.layer fault
+// point) is checked once per layer, so a live run pays one atomic load per
+// BFS depth; worker goroutines additionally poll per shard. When the
+// context fires, the partial graph explored to the last completed layer is
+// returned alongside a wrapped ErrCanceled/ErrDeadline carrying a
+// resilient.Checkpointer for the cut, and the unresolved frontier is the
+// deepest populated layer (g.Layer(g.ReachedDepth())).
 //
 // If ctx carries a resume snapshot (resilient.TagExplore) matching this
 // model, depth, and budget, exploration continues from the snapshot's
@@ -396,18 +395,12 @@ func ExploreIDCtx(ctx *resilient.Ctx, m Model, depth, maxNodes, workers int) (*I
 	return ExploreIDCtxWith(ctx, CacheOf(m), m, depth, maxNodes, workers)
 }
 
-// ExploreIDWith is ExploreIDParallel drawing from an explicit successor
-// cache instead of the model's embedded one. The equivalence property tests
-// and the cmd/bench sharded/legacy grid use it to run the same model
-// against different Interner implementations; regular callers should let
-// the model supply its shared cache.
-func ExploreIDWith(c Interner, m Model, depth, maxNodes, workers int) (*IDGraph, error) {
-	return ExploreIDCtxWith(nil, c, m, depth, maxNodes, workers)
-}
-
 // ExploreIDCtxWith is ExploreIDCtx drawing from an explicit successor
-// cache. A checkpoint resume carried by ctx continues against the same
-// cache.
+// cache instead of the model's embedded one. The sharded-vs-LegacyCache
+// equivalence suites and the cmd/bench exploration grid use it to run the
+// same model against different Interner implementations; regular callers
+// should let the model supply its shared cache. A checkpoint resume carried
+// by ctx continues against the same cache.
 func ExploreIDCtxWith(ctx *resilient.Ctx, c Interner, m Model, depth, maxNodes, workers int) (*IDGraph, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -670,34 +663,43 @@ func warmFrontier(ctx *resilient.Ctx, c Interner, g *IDGraph, frontier []uint32,
 	})
 }
 
-// Legacy materializes the string-keyed Graph view of the dense graph. The
-// two share State values; the maps are freshly built.
-func (g *IDGraph) Legacy() *Graph {
-	out := &Graph{
-		Nodes:   make(map[string]State, len(g.States)),
-		Edges:   make(map[string][]Edge, len(g.States)),
-		DepthOf: make(map[string]int, len(g.States)),
-		Depth:   g.Depth,
-		dense:   g,
+// StatesAtDepth returns the states first reached at exactly depth d, in BFS
+// discovery order: the layer's contiguous window of States, with no copying
+// (callers must not modify it). nil for an out-of-range depth.
+func (g *IDGraph) StatesAtDepth(d int) []State {
+	lo, hi, ok := g.LayerSpan(d)
+	if !ok {
+		return nil
 	}
-	for u, s := range g.States {
-		k := g.Keys[u]
-		out.Nodes[k] = s
-		out.DepthOf[k] = int(g.DepthOf[u])
-	}
+	return g.States[lo:hi]
+}
+
+// CheckDeterminism verifies that the model's successor function is
+// deterministic on every expanded node: a second invocation returns the
+// same labeled successors in the same order. Admissibility (the paper's
+// pasting condition) holds by construction for R_S when S is a function of
+// the state alone; determinism is the executable face of that requirement.
+// The check re-enumerates through g.Cache.Uncached(), bypassing the cache,
+// so the raw successor function is what is re-invoked. Nodes are checked in
+// id order, so a failure always reports the same offending state.
+func (g *IDGraph) CheckDeterminism() error {
+	s := g.Cache.Uncached()
 	for u := range g.States {
-		lo, hi := g.EdgeStart[u], g.EdgeStart[u+1]
-		if lo == hi {
+		actions, to := g.Out(uint32(u))
+		if len(actions) == 0 {
 			continue
 		}
-		edges := make([]Edge, 0, hi-lo)
-		for e := lo; e < hi; e++ {
-			edges = append(edges, Edge{Action: g.EdgeAction[e], To: g.Keys[g.EdgeTo[e]]})
+		k := g.Keys[u]
+		again := s.Successors(g.States[u])
+		if len(again) != len(actions) {
+			return fmt.Errorf("core: successor count changed for state %q: %d then %d", k, len(actions), len(again))
 		}
-		out.Edges[g.Keys[u]] = edges
+		for i, sc := range again {
+			if sc.Action != actions[i] || sc.State.Key() != g.Keys[to[i]] {
+				return fmt.Errorf("core: successor %d changed for state %q: (%s,%s) then (%s,%s)",
+					i, k, actions[i], g.Keys[to[i]], sc.Action, sc.State.Key())
+			}
+		}
 	}
-	for _, u := range g.Inits {
-		out.InitKeys = append(out.InitKeys, g.Keys[u])
-	}
-	return out
+	return nil
 }

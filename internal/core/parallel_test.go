@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -10,35 +9,6 @@ import (
 	"repro/internal/protocols"
 	"repro/internal/syncmp"
 )
-
-// graphsIdentical asserts the two string-keyed graphs are bit-identical:
-// same node set, same edge lists (order included), same depths, same init
-// keys.
-func graphsIdentical(t *testing.T, serial, parallel *core.Graph) {
-	t.Helper()
-	if len(serial.Nodes) != len(parallel.Nodes) {
-		t.Fatalf("node count: serial %d, parallel %d", len(serial.Nodes), len(parallel.Nodes))
-	}
-	for k := range serial.Nodes {
-		if _, ok := parallel.Nodes[k]; !ok {
-			t.Fatalf("parallel graph missing node %q", k)
-		}
-	}
-	if !reflect.DeepEqual(serial.DepthOf, parallel.DepthOf) {
-		t.Fatal("DepthOf maps differ")
-	}
-	if !reflect.DeepEqual(serial.InitKeys, parallel.InitKeys) {
-		t.Fatal("InitKeys differ")
-	}
-	if len(serial.Edges) != len(parallel.Edges) {
-		t.Fatalf("edge-map size: serial %d, parallel %d", len(serial.Edges), len(parallel.Edges))
-	}
-	for k, se := range serial.Edges {
-		if !reflect.DeepEqual(se, parallel.Edges[k]) {
-			t.Fatalf("edge order differs at %q", k)
-		}
-	}
-}
 
 func TestExploreParallelMatchesSerial(t *testing.T) {
 	models := []struct {
@@ -55,16 +25,16 @@ func TestExploreParallelMatchesSerial(t *testing.T) {
 	}
 	for _, tc := range models {
 		t.Run(tc.name, func(t *testing.T) {
-			serial, err := core.Explore(tc.m, tc.depth, 0)
+			serial, err := core.ExploreIDCtx(nil, tc.m, tc.depth, 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{0, 1, 2, 3, 8} {
-				par, err := core.ExploreParallel(tc.m, tc.depth, 0, workers)
+				par, err := core.ExploreIDCtx(nil, tc.m, tc.depth, 0, workers)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				graphsIdentical(t, serial, par)
+				idGraphsIdentical(t, serial, par)
 			}
 		})
 	}
@@ -73,18 +43,18 @@ func TestExploreParallelMatchesSerial(t *testing.T) {
 func TestExploreParallelBudgetMatchesSerial(t *testing.T) {
 	const budget = 25
 	mkModel := func() core.Model { return mobile.New(protocols.FloodSet{Rounds: 3}, 3) }
-	serial, serr := core.Explore(mkModel(), 3, budget)
+	serial, serr := core.ExploreIDCtx(nil, mkModel(), 3, budget, 1)
 	if !errors.Is(serr, core.ErrNodeBudget) {
 		t.Fatalf("serial err = %v", serr)
 	}
-	par, perr := core.ExploreParallel(mkModel(), 3, budget, 4)
+	par, perr := core.ExploreIDCtx(nil, mkModel(), 3, budget, 4)
 	if !errors.Is(perr, core.ErrNodeBudget) {
 		t.Fatalf("parallel err = %v", perr)
 	}
 	if serr.Error() != perr.Error() {
 		t.Errorf("error text differs: %q vs %q", serr, perr)
 	}
-	graphsIdentical(t, serial, par)
+	idGraphsIdentical(t, serial, par)
 }
 
 func TestSuccessorCacheSharing(t *testing.T) {
@@ -93,16 +63,16 @@ func TestSuccessorCacheSharing(t *testing.T) {
 	if c != core.CacheOf(m) {
 		t.Fatal("model did not share one cache across CacheOf calls")
 	}
-	g, err := core.Explore(m, 2, 0)
+	g, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Dense() == nil || g.Dense().Cache != c {
+	if g.Cache != c {
 		t.Fatal("explored graph not drawing from the model's shared cache")
 	}
 	after := c.Enumerations()
 	// A second pass over the same model re-enumerates nothing.
-	if _, err := core.Explore(m, 2, 0); err != nil {
+	if _, err := core.ExploreIDCtx(nil, m, 2, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if c.Enumerations() != after {
@@ -124,7 +94,7 @@ func TestSuccessorCacheSharing(t *testing.T) {
 
 func TestIDGraphStructure(t *testing.T) {
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
-	ig, err := core.ExploreID(m, 2, 0)
+	ig, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,17 +114,23 @@ func TestIDGraphStructure(t *testing.T) {
 	if total != ig.Len() {
 		t.Fatalf("layers cover %d of %d nodes", total, ig.Len())
 	}
-	// CSR edges agree with the legacy map view.
-	leg := ig.Legacy()
+	// Every expanded node's CSR edges are its successors, in enumeration
+	// order; frontier nodes have none.
 	for u := range ig.States {
 		actions, to := ig.Out(uint32(u))
-		edges := leg.Edges[ig.Keys[u]]
-		if len(actions) != len(edges) {
-			t.Fatalf("node %d: %d CSR edges, %d legacy edges", u, len(actions), len(edges))
+		if int(ig.DepthOf[u]) == ig.Depth {
+			if len(actions) != 0 {
+				t.Fatalf("frontier node %d has %d CSR edges", u, len(actions))
+			}
+			continue
 		}
-		for i := range edges {
-			if edges[i].Action != actions[i] || edges[i].To != ig.Keys[to[i]] {
-				t.Fatalf("node %d edge %d differs between CSR and legacy", u, i)
+		succs := m.Successors(ig.States[u])
+		if len(actions) != len(succs) {
+			t.Fatalf("node %d: %d CSR edges, %d successors", u, len(actions), len(succs))
+		}
+		for i, sc := range succs {
+			if sc.Action != actions[i] || sc.State.Key() != ig.Keys[to[i]] {
+				t.Fatalf("node %d edge %d differs from successor %d", u, i, i)
 			}
 		}
 	}
@@ -162,7 +138,7 @@ func TestIDGraphStructure(t *testing.T) {
 
 func TestStatesAtDepthCached(t *testing.T) {
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
-	g, err := core.Explore(m, 2, 0)
+	g, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,43 +148,23 @@ func TestStatesAtDepthCached(t *testing.T) {
 		t.Fatal("no states at depth 1")
 	}
 	if &first[0] != &second[0] {
-		t.Error("StatesAtDepth rebuilt its bucket on the second call")
+		t.Error("StatesAtDepth copied the layer on the second call")
 	}
-	// Explore-built graphs serve the dense layer window in BFS discovery
+	// StatesAtDepth serves the layer's window of States in BFS discovery
 	// order: exactly the Layer(1) nodes, in that order, with no copying.
-	dense := g.Dense()
-	layer := dense.Layer(1)
+	layer := g.Layer(1)
 	if len(first) != len(layer) {
-		t.Fatalf("depth-1 bucket has %d states, dense layer %d nodes", len(first), len(layer))
+		t.Fatalf("depth-1 window has %d states, layer %d nodes", len(first), len(layer))
+	}
+	if &first[0] != &g.States[layer[0]] {
+		t.Error("depth-1 window is a copy, not a view of States")
 	}
 	for i, u := range layer {
-		if first[i] != dense.States[u] {
-			t.Fatalf("bucket[%d] is not dense layer node %d", i, u)
+		if first[i] != g.States[u] {
+			t.Fatalf("window[%d] is not layer node %d", i, u)
 		}
 	}
 	if g.StatesAtDepth(3) != nil || g.StatesAtDepth(-1) != nil {
 		t.Fatal("out-of-range depth should yield nil")
-	}
-}
-
-func TestStatesAtDepthHandBuilt(t *testing.T) {
-	// A hand-assembled Graph (no dense form) keeps the sorted-key path.
-	m := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
-	g, err := core.Explore(m, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hand := &core.Graph{Nodes: g.Nodes, Edges: g.Edges, DepthOf: g.DepthOf, InitKeys: g.InitKeys, Depth: g.Depth}
-	first := hand.StatesAtDepth(1)
-	if len(first) != len(g.StatesAtDepth(1)) {
-		t.Fatalf("hand-built bucket has %d states, dense %d", len(first), len(g.StatesAtDepth(1)))
-	}
-	for i := 1; i < len(first); i++ {
-		if first[i-1].Key() >= first[i].Key() {
-			t.Fatal("hand-built bucket not sorted by key")
-		}
-	}
-	if &first[0] != &hand.StatesAtDepth(1)[0] {
-		t.Error("hand-built bucket rebuilt on second call")
 	}
 }

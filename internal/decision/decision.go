@@ -224,17 +224,11 @@ func BivalentChain(m core.Model, o *Oracle, horizon func(int) int, target int) (
 // the distinct decided output simplexes of fully-decided states, keyed by
 // simplex Key.
 func CollectDecidedSimplexes(m core.Model, depth, maxNodes int) (map[string]simplex.Simplex, error) {
-	g, err := core.Explore(m, depth, maxNodes)
+	g, err := core.ExploreIDCtx(nil, m, depth, maxNodes, 1)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]simplex.Simplex)
-	for _, x := range g.Nodes { //lint:nondet builds a keyed map; result independent of visit order
-		if s, ok := DecidedSimplex(x); ok && s.Size() > 0 {
-			out[s.Key()] = s
-		}
-	}
-	return out, nil
+	return CollectDecidedSimplexesGraph(g), nil
 }
 
 // CollectDecidedSimplexesGraph returns the distinct decided output
@@ -256,30 +250,20 @@ func CollectDecidedSimplexesGraph(g *core.IDGraph) map[string]simplex.Simplex {
 	return out
 }
 
-// FieldValences computes the generalized valence mask of every node of an
-// explored graph in one bottom-up sweep, the covering analogue of
+// FieldValencesCtx computes the generalized valence mask of every node of
+// an explored graph in one bottom-up sweep, the covering analogue of
 // valence.NewFieldCtx: masks[u] holds the OR over u's reachable closure (in
 // the explored graph) of the base masks assigned by the covering to
 // fully-decided states. On a graded graph (every edge advancing one
 // layer) masks[u] equals Oracle.Valences(g.States[u], g.Depth-depth(u))
 // exactly; otherwise the sweep falls back to a fixpoint loop and the mask
 // is the valence within the explored graph.
-func FieldValences(g *core.IDGraph, cover Covering) []uint8 {
-	for {
-		masks, err := FieldValencesCtx(nil, g, cover)
-		if err == nil {
-			return masks
-		}
-		// A nil context never cancels, so the error is an injected chaos
-		// fault; each armed rule fires once, so retrying converges.
-	}
-}
-
-// FieldValencesCtx is FieldValences under a cancellation context, polled
-// (with the chaos decision.field.layer fault point) once per layer on
-// graded graphs and once per pass in the fixpoint fallback. An
-// interruption returns the partial masks computed so far — layers deeper
-// than the cut are final on graded graphs — alongside the wrapped cause.
+//
+// ctx (nil never cancels) is polled, with the chaos decision.field.layer
+// fault point, once per layer on graded graphs and once per pass in the
+// fixpoint fallback. An interruption returns the partial masks computed so
+// far — layers deeper than the cut are final on graded graphs — alongside
+// the wrapped cause.
 func FieldValencesCtx(ctx *resilient.Ctx, g *core.IDGraph, cover Covering) ([]uint8, error) {
 	rec := obs.Active()
 	defer obs.Span(rec, "decision.field.time")()

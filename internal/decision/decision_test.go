@@ -24,11 +24,11 @@ func TestConsensusCoveringMatchesBinaryValence(t *testing.T) {
 	bin := valence.NewOracle(m)
 	gen := decision.NewOracle(m, decision.ConsensusCovering(n))
 
-	g, err := core.Explore(m, rounds, 0)
+	g, err := core.ExploreIDCtx(nil, m, rounds, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range g.Nodes {
+	for _, x := range g.States {
 		s := x.(*syncmp.State)
 		h := rounds - s.Round()
 		bv := bin.Valences(x, h)
@@ -201,7 +201,7 @@ func TestFieldValencesMatchOracle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g, err := core.ExploreID(tc.m, tc.depth, 0)
+			g, err := core.ExploreIDCtx(nil, tc.m, tc.depth, 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +209,10 @@ func TestFieldValencesMatchOracle(t *testing.T) {
 				t.Fatal("expected a graded graph")
 			}
 			cover := tc.cover(g, g.States[0].N())
-			masks := decision.FieldValences(g, cover)
+			masks, err := decision.FieldValencesCtx(nil, g, cover)
+			if err != nil {
+				t.Fatal(err)
+			}
 			o := decision.NewOracle(tc.m, cover)
 			for u := 0; u < g.Len(); u++ {
 				h := g.Depth - int(g.DepthOf[u])
@@ -222,8 +225,8 @@ func TestFieldValencesMatchOracle(t *testing.T) {
 	}
 }
 
-// TestCollectDecidedSimplexesGraph checks the graph-backed collection
-// returns exactly the exploration-backed one.
+// TestCollectDecidedSimplexesGraph checks the pass over an explored graph
+// returns exactly what the explore-and-collect entry point does.
 func TestCollectDecidedSimplexesGraph(t *testing.T) {
 	const n, rounds = 3, 2
 	m := mobile.New(protocols.FloodSet{Rounds: rounds}, n)
@@ -231,7 +234,7 @@ func TestCollectDecidedSimplexesGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := core.ExploreID(m, rounds, 0)
+	g, err := core.ExploreIDCtx(nil, m, rounds, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +257,7 @@ func TestLemma76MeasuredDiameters(t *testing.T) {
 	const n, tt, depth = 3, 2, 2
 	p := protocols.FullInfo{}
 	m := syncmp.NewSt(p, n, tt)
-	g, err := core.Explore(m, depth, 0)
+	g, err := core.ExploreIDCtx(nil, m, depth, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,18 +276,11 @@ func TestLemma76MeasuredDiameters(t *testing.T) {
 			}
 		}
 		bound := dPrev*dY + dPrev + dY
-		states := collectToDepth(g, d)
-		dCur, _ := valence.SetSDiameter(states)
+		dCur, _ := valence.SetSDiameter(g.StatesAtDepth(d))
 		if dCur > bound {
 			t.Errorf("depth %d: measured s-diameter %d exceeds Lemma 7.6 bound %d (dPrev=%d dY=%d)",
 				d, dCur, bound, dPrev, dY)
 		}
 		dPrev = dCur
 	}
-}
-
-// collectToDepth returns the states first reached at exactly depth d. With
-// the round number in the environment, every state's depth is unique.
-func collectToDepth(g *core.Graph, d int) []core.State {
-	return g.StatesAtDepth(d)
 }

@@ -78,14 +78,14 @@ func TestWastedFaults(t *testing.T) {
 	rounds := tt + 1
 	p := protocols.FloodSet{Rounds: rounds}
 	m := syncmp.NewStMulti(p, n, tt, c)
-	g, err := core.Explore(m, rounds, 0)
+	g, err := core.ExploreIDCtx(nil, m, rounds, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := valence.NewOracle(m)
 	bivalentSeen := false
 	wastedSeen := false
-	for _, x := range g.Nodes {
+	for _, x := range g.States {
 		s := x.(*syncmp.State)
 		r := s.Round()
 		if !o.Bivalent(s, rounds-r) {
@@ -125,13 +125,13 @@ func TestWastedFaultsWithSlack(t *testing.T) {
 	rounds := tt + 1
 	p := protocols.FloodSet{Rounds: rounds}
 	m := syncmp.NewStMulti(p, n, tt, c)
-	g, err := core.Explore(m, 2, 0) // two rounds suffice for the claim
+	g, err := core.ExploreIDCtx(nil, m, 2, 0, 1) // two rounds suffice for the claim
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := valence.NewOracle(m)
 	wasted := 0
-	for _, x := range g.Nodes {
+	for _, x := range g.States {
 		s := x.(*syncmp.State)
 		r := s.Round()
 		if r == 0 || !o.Bivalent(s, rounds-r) {

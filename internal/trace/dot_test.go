@@ -1,19 +1,21 @@
 package trace_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/mobile"
 	"repro/internal/protocols"
+	"repro/internal/syncmp"
 	"repro/internal/trace"
 )
 
-func exploreMobile(t *testing.T, depth int) *core.Graph {
+func exploreMobile(t *testing.T, depth int) *core.IDGraph {
 	t.Helper()
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
-	g, err := core.Explore(m, depth, 0)
+	g, err := core.ExploreIDCtx(nil, m, depth, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +51,9 @@ func TestGraphDOTDeterministic(t *testing.T) {
 
 func TestGraphDOTTruncationAndHighlight(t *testing.T) {
 	g := exploreMobile(t, 2)
-	var some string
-	for k := range g.Nodes {
-		some = k
-		break
-	}
 	dot := trace.GraphDOT(g, trace.DOTOptions{
 		MaxNodes:      5,
-		HighlightKeys: map[string]bool{some: true},
+		HighlightKeys: map[string]bool{g.Keys[0]: true},
 	})
 	if !strings.Contains(dot, "ellipsis") {
 		t.Error("truncated rendering missing ellipsis")
@@ -73,5 +70,26 @@ func TestGraphDOTCustomLabel(t *testing.T) {
 	})
 	if !strings.Contains(dot, "CUSTOM") {
 		t.Error("custom label ignored")
+	}
+}
+
+// TestGraphDOTGolden pins the exact DOT bytes for a small S^t FloodSet
+// graph rendered with truncation (the cut falls inside the depth-1 layer,
+// so some kept nodes have edges to dropped ones) and two highlighted
+// states. Nodes are ordered by (depth, key) regardless of discovery order.
+func TestGraphDOTGolden(t *testing.T) {
+	m := syncmp.NewSt(protocols.FloodSet{Rounds: 2}, 3, 1)
+	g, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hl := map[string]bool{g.Keys[g.Inits[0]]: true, g.Keys[g.Layer(1)[0]]: true}
+	got := trace.GraphDOT(g, trace.DOTOptions{MaxNodes: 20, HighlightKeys: hl})
+	want, err := os.ReadFile("testdata/graphdot_syncst.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("DOT output differs from testdata/graphdot_syncst.golden:\n%s", got)
 	}
 }

@@ -49,12 +49,12 @@ func BenchmarkAblationMemoization(b *testing.B) {
 func TestNaiveMatchesOracle(t *testing.T) {
 	const n, rounds = 3, 2
 	m := mobile.New(protocols.FloodSet{Rounds: rounds}, n)
-	g, err := core.Explore(m, rounds, 0)
+	g, err := core.ExploreIDCtx(nil, m, rounds, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := valence.NewOracle(m)
-	for _, x := range g.Nodes {
+	for _, x := range g.States {
 		for h := 0; h <= rounds; h++ {
 			if got, want := valence.NaiveValences(m, x, h), o.Valences(x, h); got != want {
 				t.Fatalf("naive %02b != memoized %02b at horizon %d", got, want, h)
@@ -103,7 +103,7 @@ func BenchmarkCertifyGraph(b *testing.B) {
 	for _, cfg := range []struct{ n, t int }{{3, 1}, {4, 2}, {5, 1}, {6, 1}} {
 		b.Run(fmt.Sprintf("floodset/n=%d/t=%d", cfg.n, cfg.t), func(b *testing.B) {
 			m := syncmp.NewSt(protocols.FloodSet{Rounds: cfg.t + 1}, cfg.n, cfg.t)
-			g, err := core.ExploreIDParallel(m, cfg.t+1, 0, 0)
+			g, err := core.ExploreIDCtx(nil, m, cfg.t+1, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func BenchmarkCertifyGraph(b *testing.B) {
 			b.ResetTimer()
 			var explored int
 			for i := 0; i < b.N; i++ {
-				w, err := valence.CertifyGraph(g, 0)
+				w, err := valence.CertifyGraphCtx(nil, g, 0)
 				if err != nil || w.Kind != valence.OK {
 					b.Fatal(err, w.Kind)
 				}
@@ -128,7 +128,7 @@ func BenchmarkField(b *testing.B) {
 	for _, cfg := range []struct{ n, t int }{{4, 2}, {6, 1}} {
 		b.Run(fmt.Sprintf("floodset/n=%d/t=%d", cfg.n, cfg.t), func(b *testing.B) {
 			m := syncmp.NewSt(protocols.FloodSet{Rounds: cfg.t + 1}, cfg.n, cfg.t)
-			g, err := core.ExploreIDParallel(m, cfg.t+1, 0, 0)
+			g, err := core.ExploreIDCtx(nil, m, cfg.t+1, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

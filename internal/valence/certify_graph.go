@@ -10,13 +10,13 @@ import (
 	"repro/internal/resilient"
 )
 
-// ErrNotGraded is returned by CertifyGraph when the graph has an edge that
+// ErrNotGraded is returned by CertifyGraphCtx when the graph has an edge that
 // does not go from depth d to depth d+1. On such graphs the certifier's
 // per-node visited bitsets would not be equivalent to the recursive
 // (state, remaining-depth) memo; use Certify instead.
 var ErrNotGraded = errors.New("valence: graph is not graded")
 
-// CertifyGraph certifies the consensus requirements over a fully explored
+// CertifyGraphCtx certifies the consensus requirements over a fully explored
 // state graph in one forward pass: agreement and validity on nodes,
 // write-once stability on edges, and decision on the deepest layer, exactly
 // as Certify does over bound = g.Depth layers. Instead of re-enumerating
@@ -38,13 +38,9 @@ var ErrNotGraded = errors.New("valence: graph is not graded")
 // Explored count are bit-for-bit identical to the recursive certifier's.
 // g must be explored with no node budget; maxVisits bounds the total
 // number of node visits across all roots (0 = no bound).
-func CertifyGraph(g *core.IDGraph, maxVisits int) (*Witness, error) {
-	return CertifyGraphCtx(nil, g, maxVisits)
-}
-
-// CertifyGraphCtx is CertifyGraph under a cancellation context, polled (with
-// the chaos certify.visit fault point) at every root boundary and every 256
-// DFS steps. An interruption
+//
+// ctx (nil never cancels) is polled, with the chaos certify.visit fault
+// point, at every root boundary and every 256 DFS steps. An interruption
 // returns an error wrapping ErrCanceled/ErrDeadline (or ErrBudget for an
 // injected budget fault) that carries a resilient.Checkpointer snapshotting
 // the per-input-mask visited bitsets, the DFS stack, and the root cursor;
@@ -164,24 +160,22 @@ func (c *graphCertifier) finish(rec obs.Recorder, w *Witness) {
 		obs.F{Key: "density_pct", Value: densityPct})
 }
 
-// CertifyFast is Certify through the graph-backed engine: it materializes
-// the model's state graph to `bound` layers (deterministically, drawing on
-// the model's shared successor cache) and runs CertifyGraph over it,
-// falling back to the recursive Certify when the explored graph is not
-// graded. Verdict and witness are identical to Certify's; the difference
-// is that the whole graph is explored up front rather than lazily, which
-// is faster for certifications that visit most of it.
-func CertifyFast(m core.Model, bound, maxVisits int) (*Witness, error) {
-	return CertifyFastCtx(nil, m, bound, maxVisits)
-}
-
-// CertifyFastCtx is CertifyFast under a cancellation context, threaded
-// through both phases: the exploration checks it at layer boundaries, the
-// certification at root boundaries and every 256 DFS steps, and whichever
-// phase is interrupted
+// CertifyFastCtx is Certify through the graph-backed engine: it
+// materializes the model's state graph to `bound` layers (deterministically,
+// drawing on the model's shared successor cache) and runs CertifyGraphCtx
+// over it, falling back to the recursive Certify when the explored graph is
+// not graded. Verdict and witness are identical to Certify's; the
+// difference is that the whole graph is explored up front rather than
+// lazily, which is faster for certifications that visit most of it.
+//
+// ctx (nil never cancels) is polled by the graph-backed path only: the
+// exploration checks it at layer boundaries, the certification at root
+// boundaries and every 256 DFS steps, and whichever phase is interrupted
 // attaches its own checkpoint to the error. A resumed run re-derives the
 // already-complete phase deterministically (re-exploring is bit-identical),
-// so one saved certify snapshot suffices to finish the whole call.
+// so one saved certify snapshot suffices to finish the whole call. The
+// ErrNotGraded fallback runs the recursive Certify, which does not poll
+// ctx.
 func CertifyFastCtx(ctx *resilient.Ctx, m core.Model, bound, maxVisits int) (*Witness, error) {
 	g, err := core.ExploreIDCtx(ctx, m, bound, 0, 0)
 	if err != nil {

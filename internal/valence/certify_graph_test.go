@@ -51,7 +51,7 @@ func TestCertifyGraphMatchesRecursive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := valence.CertifyFast(tc.m, tc.bound, 0)
+			got, err := valence.CertifyFastCtx(nil, tc.m, tc.bound, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestCertifyGraphMatchesRecursive(t *testing.T) {
 // as the recursive certifier.
 func TestCertifyGraphBudget(t *testing.T) {
 	m := syncmp.NewSt(protocols.FloodSet{Rounds: 2}, 3, 1)
-	_, err := valence.CertifyFast(m, 2, 5)
+	_, err := valence.CertifyFastCtx(nil, m, 2, 5)
 	if err == nil {
 		t.Fatal("budget of 5 visits did not error")
 	}
@@ -100,25 +100,25 @@ func TestCertifyGraphBudget(t *testing.T) {
 }
 
 // TestCertifyGraphNotGraded checks that a non-graded graph is refused (and
-// that CertifyFast silently falls back to the recursive path for one).
+// that CertifyFastCtx silently falls back to the recursive path for one).
 func TestCertifyGraphNotGraded(t *testing.T) {
 	// asyncmp at n=2 produces same-depth shortcut edges (see field tests).
 	m := asyncmp.New(protocols.MPFlood{Phases: 2}, 2)
-	g, err := core.ExploreID(m, 2, 0)
+	g, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Graded() {
 		t.Skip("model graph unexpectedly graded")
 	}
-	if _, err := valence.CertifyGraph(g, 0); !errors.Is(err, valence.ErrNotGraded) {
-		t.Fatalf("CertifyGraph err = %v, want ErrNotGraded", err)
+	if _, err := valence.CertifyGraphCtx(nil, g, 0); !errors.Is(err, valence.ErrNotGraded) {
+		t.Fatalf("CertifyGraphCtx err = %v, want ErrNotGraded", err)
 	}
 	want, err := valence.Certify(m, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := valence.CertifyFast(m, 2, 0)
+	got, err := valence.CertifyFastCtx(nil, m, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 // ckptGraph materializes the standard graded fixture for checkpoint tests.
 func ckptGraph(t *testing.T, m core.Model, bound int) *core.IDGraph {
 	t.Helper()
-	g, err := core.ExploreID(m, bound, 0)
+	g, err := core.ExploreIDCtx(nil, m, bound, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestCertifyCheckpointRandomCuts(t *testing.T) {
 			// inside the run — a rule that never fires would test nothing.
 			probe := chaos.NewPlan().Set("certify.visit", chaos.Rule{Hit: ^uint64(0), Kind: chaos.KindCancel})
 			chaos.Arm(probe)
-			want, err := valence.CertifyGraph(g, 0)
+			want, err := valence.CertifyGraphCtx(nil, g, 0)
 			chaos.Disarm()
 			if err != nil {
 				t.Fatal(err)
@@ -149,7 +149,7 @@ func TestCertifyCheckpointRandomCuts(t *testing.T) {
 // resumable checkpoint, and a resumed run still matches the baseline.
 func TestCertifyCheckpointBudgetFault(t *testing.T) {
 	g := ckptGraph(t, mobile.New(protocols.FloodSet{Rounds: 2}, 3), 2)
-	want, err := valence.CertifyGraph(g, 0)
+	want, err := valence.CertifyGraphCtx(nil, g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestCertifyCheckpointValidation(t *testing.T) {
 
 	other := ckptGraph(t, syncmp.NewSt(protocols.FloodSet{Rounds: 2}, 3, 1), 2)
 	ctx := resumeCtx(t, perr)
-	want, err := valence.CertifyGraph(other, 0)
+	want, err := valence.CertifyGraphCtx(nil, other, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func (m chainModel) Successors(x core.State) []core.Succ {
 // merge must preserve those bits: masks are bit-identical to the
 // ScalarMasks oracle.
 func TestFieldLayerWordBoundary(t *testing.T) {
-	g, err := core.ExploreID(wideModel{width: 200, depth: 3}, 3, 0)
+	g, err := core.ExploreIDCtx(nil, wideModel{width: 200, depth: 3}, 3, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestFieldLayerWordBoundary(t *testing.T) {
 // engine and to the known answer — every node 0-valent.
 func TestFieldFixpointWordBoundary(t *testing.T) {
 	const k = 100
-	g, err := core.ExploreID(chainModel{k: k}, 1, 0)
+	g, err := core.ExploreIDCtx(nil, chainModel{k: k}, 1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestFieldMatchesScalarPlanes(t *testing.T) {
 				depth = 1
 			}
 			t.Run(fmt.Sprintf("%s-n%d-d%d", mc.name, n, depth), func(t *testing.T) {
-				g, err := core.ExploreID(mc.m, depth, 0)
+				g, err := core.ExploreIDCtx(nil, mc.m, depth, 0, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -53,12 +53,12 @@ func TestLemma62OneMoreRound(t *testing.T) {
 	m := syncmp.NewSt(p, n, tt)
 	o := valence.NewOracle(m)
 
-	g, err := core.Explore(m, tt, 0)
+	g, err := core.ExploreIDCtx(nil, m, tt, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checked := 0
-	for _, x := range g.Nodes {
+	for _, x := range g.States {
 		s := x.(*syncmp.State)
 		depth := s.Round()
 		if !o.Bivalent(x, rounds-depth) {
@@ -104,12 +104,12 @@ func TestLemma64FastUnivalence(t *testing.T) {
 		p := protocols.FloodSet{Rounds: rounds}
 		m := syncmp.NewSt(p, c.n, c.tt)
 		o := valence.NewOracle(m)
-		g, err := core.Explore(m, rounds-1, 0)
+		g, err := core.ExploreIDCtx(nil, m, rounds-1, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checked := 0
-		for _, x := range g.Nodes {
+		for _, x := range g.States {
 			s := x.(*syncmp.State)
 			k := s.Round()
 			if k >= rounds || s.FailedCount() > k {

@@ -58,8 +58,6 @@ type (
 	Execution = core.Execution
 	// Step is one transition of an execution.
 	Step = core.Step
-	// Graph is an explored reachable state graph.
-	Graph = core.Graph
 )
 
 // Protocol interfaces re-exports.
@@ -184,24 +182,9 @@ func ConstHorizon(h int) HorizonFunc { return valence.ConstHorizon(h) }
 // horizon for protocols deciding within `bound` layers.
 func DecreasingHorizon(bound, min int) HorizonFunc { return valence.DecreasingHorizon(bound, min) }
 
-// ErrNodeBudget is returned (wrapped) by Explore and ExploreParallel when
-// the node budget is exhausted; the partial graph explored so far is
-// returned alongside it.
+// ErrNodeBudget is returned (wrapped) by ExploreIDCtx when the node budget
+// is exhausted; the partial graph explored so far is returned alongside it.
 var ErrNodeBudget = core.ErrNodeBudget
-
-// Explore builds the reachable state graph of a model to the given depth;
-// maxNodes caps the node count (0 = unbounded). On budget exhaustion the
-// partial graph is returned together with a wrapped ErrNodeBudget.
-func Explore(m Model, depth, maxNodes int) (*Graph, error) {
-	return core.Explore(m, depth, maxNodes)
-}
-
-// ExploreParallel is Explore with successor enumeration sharded across
-// `workers` goroutines (workers <= 0 means GOMAXPROCS). The resulting graph
-// is bit-identical to Explore's: same node set, edge order, and depths.
-func ExploreParallel(m Model, depth, maxNodes, workers int) (*Graph, error) {
-	return core.ExploreParallel(m, depth, maxNodes, workers)
-}
 
 // IDGraph is the interned CSR state graph: dense uint32 node ids, flat
 // edge arrays, per-depth layers, and parent pointers for witness walkback.
@@ -211,38 +194,9 @@ type IDGraph = core.IDGraph
 // of an explored IDGraph, computed in one bottom-up O(V+E) sweep.
 type Field = valence.Field
 
-// ExploreID builds the interned CSR state graph of a model to the given
-// depth; maxNodes caps the node count (0 = unbounded).
-func ExploreID(m Model, depth, maxNodes int) (*IDGraph, error) {
-	return core.ExploreID(m, depth, maxNodes)
-}
-
-// ExploreIDParallel is ExploreID with successor enumeration sharded across
-// `workers` goroutines (workers <= 0 means GOMAXPROCS); the graph is
-// bit-identical to ExploreID's.
-func ExploreIDParallel(m Model, depth, maxNodes, workers int) (*IDGraph, error) {
-	return core.ExploreIDParallel(m, depth, maxNodes, workers)
-}
-
-// ErrNotGraded is returned by CertifyGraph for graphs with same-depth
+// ErrNotGraded is returned by CertifyGraphCtx for graphs with same-depth
 // shortcut edges (which the asynchronous models produce at small n).
 var ErrNotGraded = valence.ErrNotGraded
-
-// CertifyGraph certifies consensus by one forward pass over an already
-// materialized graph, with per-(node, input-mask) visited bitsets instead
-// of the recursive certifier's memo map. The witness is identical to
-// Certify's bit for bit. Graded graphs only (ErrNotGraded otherwise).
-func CertifyGraph(g *IDGraph, maxVisits int) (*Witness, error) {
-	return valence.CertifyGraph(g, maxVisits)
-}
-
-// CertifyFast is Certify through the graph-backed engine: it explores the
-// model's IDGraph in parallel and runs CertifyGraph, falling back to the
-// recursive certifier for non-graded graphs. The witness is identical to
-// Certify's.
-func CertifyFast(m Model, bound, maxVisits int) (*Witness, error) {
-	return valence.CertifyFast(m, bound, maxVisits)
-}
 
 // Ctx is the framework's lightweight cancellation context: a done channel
 // plus an optional deadline, polled by the engines at layer/shard
@@ -319,31 +273,48 @@ func LoadCheckpoint(path string) ([]resilient.Section, error) {
 	return resilient.LoadFile(path)
 }
 
-// ExploreCtx is Explore under a cancellation context: on interruption the
-// error wraps ErrPartial and carries a resumable checkpoint.
-func ExploreCtx(ctx *Ctx, m Model, depth, maxNodes int) (*Graph, error) {
-	return core.ExploreCtx(ctx, m, depth, maxNodes)
-}
-
-// ExploreParallelCtx is ExploreParallel under a cancellation context.
-func ExploreParallelCtx(ctx *Ctx, m Model, depth, maxNodes, workers int) (*Graph, error) {
-	return core.ExploreParallelCtx(ctx, m, depth, maxNodes, workers)
-}
-
-// ExploreIDCtx is ExploreIDParallel under a cancellation context; a
-// checkpoint loaded into ctx resumes the interrupted exploration and the
-// finished graph is bit-identical to an uninterrupted run's.
+// ExploreIDCtx builds the interned CSR state graph of a model to the given
+// depth; maxNodes caps the node count (0 = unbounded) and workers shards
+// each frontier's successor enumeration (<= 0 means GOMAXPROCS), with a
+// graph bit-identical for every worker count. A nil ctx never cancels; on
+// interruption the error wraps ErrPartial and carries a resumable
+// checkpoint, and a checkpoint loaded into ctx resumes the interrupted
+// exploration to a graph bit-identical to an uninterrupted run's.
 func ExploreIDCtx(ctx *Ctx, m Model, depth, maxNodes, workers int) (*IDGraph, error) {
 	return core.ExploreIDCtx(ctx, m, depth, maxNodes, workers)
 }
 
-// CertifyGraphCtx is CertifyGraph under a cancellation context, with
-// checkpoint/resume of the certification pass.
+// Graph is the explored graph ExploreCtx returns.
+//
+// Deprecated: use IDGraph, which Graph embeds.
+type Graph struct{ *IDGraph }
+
+// Dense returns the embedded IDGraph.
+func (g *Graph) Dense() *IDGraph { return g.IDGraph }
+
+// ExploreCtx is ExploreIDCtx with one worker.
+//
+// Deprecated: use ExploreIDCtx.
+func ExploreCtx(ctx *Ctx, m Model, depth, maxNodes int) (*Graph, error) {
+	g, err := core.ExploreIDCtx(ctx, m, depth, maxNodes, 1)
+	return &Graph{g}, err
+}
+
+// CertifyGraphCtx certifies consensus by one forward pass over an already
+// materialized graph, with per-(node, input-mask) visited bitsets instead
+// of the recursive certifier's memo map, under a cancellation context (nil
+// never cancels) with checkpoint/resume of the pass. The witness is
+// identical to Certify's bit for bit. Graded graphs only (ErrNotGraded
+// otherwise).
 func CertifyGraphCtx(ctx *Ctx, g *IDGraph, maxVisits int) (*Witness, error) {
 	return valence.CertifyGraphCtx(ctx, g, maxVisits)
 }
 
-// CertifyFastCtx is CertifyFast under a cancellation context.
+// CertifyFastCtx is Certify through the graph-backed engine: it explores
+// the model's IDGraph and runs CertifyGraphCtx, falling back to the
+// recursive Certify for non-graded graphs. The witness is identical to
+// Certify's. ctx (nil never cancels) is polled by the exploration and the
+// graph pass; the recursive fallback does not poll it.
 func CertifyFastCtx(ctx *Ctx, m Model, bound, maxVisits int) (*Witness, error) {
 	return valence.CertifyFastCtx(ctx, m, bound, maxVisits)
 }

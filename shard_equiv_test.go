@@ -94,10 +94,6 @@ func sameGraph(t *testing.T, want, got *core.IDGraph) {
 			t.Fatalf("node %d state key differs", u)
 		}
 	}
-	wl, gl := want.Legacy(), got.Legacy()
-	if !reflect.DeepEqual(wl.InitKeys, gl.InitKeys) {
-		t.Fatal("InitKeys differ")
-	}
 }
 
 func workerCounts() []int {
@@ -114,7 +110,7 @@ func workerCounts() []int {
 func TestShardedLegacyGraphEquivalence(t *testing.T) {
 	for _, tc := range equivZoo() {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, err := core.ExploreIDWith(newCache("legacy", tc.m), tc.m, tc.depth, 0, 1)
+			ref, err := core.ExploreIDCtxWith(nil, newCache("legacy", tc.m), tc.m, tc.depth, 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +119,7 @@ func TestShardedLegacyGraphEquivalence(t *testing.T) {
 			}
 			for _, impl := range []string{"legacy", "sharded"} {
 				for _, w := range workerCounts() {
-					g, err := core.ExploreIDWith(newCache(impl, tc.m), tc.m, tc.depth, 0, w)
+					g, err := core.ExploreIDCtxWith(nil, newCache(impl, tc.m), tc.m, tc.depth, 0, w)
 					if err != nil {
 						t.Fatalf("%s/w=%d: %v", impl, w, err)
 					}
@@ -141,7 +137,7 @@ func TestShardedLegacyGraphEquivalence(t *testing.T) {
 func TestShardedLegacyBudgetEquivalence(t *testing.T) {
 	for _, tc := range equivZoo() {
 		t.Run(tc.name, func(t *testing.T) {
-			full, err := core.ExploreIDWith(newCache("legacy", tc.m), tc.m, tc.depth, 0, 1)
+			full, err := core.ExploreIDCtxWith(nil, newCache("legacy", tc.m), tc.m, tc.depth, 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,13 +145,13 @@ func TestShardedLegacyBudgetEquivalence(t *testing.T) {
 			if budget == 0 {
 				t.Skip("graph too small to cut")
 			}
-			ref, rerr := core.ExploreIDWith(newCache("legacy", tc.m), tc.m, tc.depth, budget, 1)
+			ref, rerr := core.ExploreIDCtxWith(nil, newCache("legacy", tc.m), tc.m, tc.depth, budget, 1)
 			if !errors.Is(rerr, core.ErrNodeBudget) {
 				t.Fatalf("reference budget run: %v, want ErrNodeBudget", rerr)
 			}
 			for _, impl := range []string{"legacy", "sharded"} {
 				for _, w := range workerCounts() {
-					g, err := core.ExploreIDWith(newCache(impl, tc.m), tc.m, tc.depth, budget, w)
+					g, err := core.ExploreIDCtxWith(nil, newCache(impl, tc.m), tc.m, tc.depth, budget, w)
 					if !errors.Is(err, core.ErrNodeBudget) {
 						t.Fatalf("%s/w=%d: %v, want ErrNodeBudget", impl, w, err)
 					}
@@ -180,7 +176,7 @@ func TestShardedResumeEquivalence(t *testing.T) {
 	zoo := equivZoo()
 	for _, tc := range []equivCase{zoo[0], zoo[4]} {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, err := core.ExploreIDWith(newCache("legacy", tc.m), tc.m, tc.depth, 0, 1)
+			ref, err := core.ExploreIDCtxWith(nil, newCache("legacy", tc.m), tc.m, tc.depth, 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
