@@ -44,6 +44,7 @@ race:
 	$(GO) test -race ./internal/...
 	$(GO) test -race -cpu 1,2,4 -run 'TestFieldPropertyMatchesOracle|TestCertifyGraphMatchesRecursive|TestFieldLayerWordBoundary|TestFieldMatchesScalarPlanes' ./internal/valence
 	$(GO) test -race -cpu 1,2,4 -run 'TestSharded' .
+	$(GO) test -race -cpu 1,2,4 -run 'TestRoundEngineMatchesPerAction' ./internal/syncmp
 	$(GO) test -race ./internal/obs ./internal/cli ./cmd/lint
 
 # chaos runs the deterministic fault-injection suite under the race

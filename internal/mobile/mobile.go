@@ -16,7 +16,6 @@ package mobile
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/proto"
@@ -28,17 +27,23 @@ import (
 // analysis pass over the same model value.
 type Model struct {
 	*core.SuccessorCache
-	p     proto.SyncProtocol
-	n     int
-	name  string
-	inits core.InitMemo
+	p      proto.SyncProtocol
+	n      int
+	name   string
+	labels [][]string // syncmp.PrefixLabels(n)
+	inits  core.InitMemo
 }
 
 var _ core.Model = (*Model)(nil)
 
 // New returns M^mf with the S1 layering for protocol p on n processes.
 func New(p proto.SyncProtocol, n int) *Model {
-	m := &Model{p: p, n: n, name: fmt.Sprintf("mobile/S1(n=%d,%s)", n, p.Name())}
+	m := &Model{
+		p:      p,
+		n:      n,
+		name:   fmt.Sprintf("mobile/S1(n=%d,%s)", n, p.Name()),
+		labels: syncmp.PrefixLabels(n),
+	}
 	m.SuccessorCache = core.NewSuccessorCache(core.SuccessorFunc(m.successors))
 	return m
 }
@@ -84,17 +89,12 @@ func (m *Model) successors(x core.State) []core.Succ {
 	if !ok {
 		return nil
 	}
+	e := syncmp.NewRoundEngine(m.p, s, false, false, m.n*m.n+1)
 	out := make([]core.Succ, 0, m.n*m.n+1)
-	out = append(out, core.Succ{
-		Action: "noop",
-		State:  syncmp.ApplyAction(m.p, s, 0, 0, false, false),
-	})
+	out = append(out, core.Succ{Action: "noop", State: e.Omit(0, 0, false)})
 	for j := 0; j < m.n; j++ {
 		for k := 1; k <= m.n; k++ {
-			out = append(out, core.Succ{
-				Action: "(" + strconv.Itoa(j) + ",[" + strconv.Itoa(k) + "])",
-				State:  syncmp.ApplyAction(m.p, s, j, syncmp.OmitMask(k), false, false),
-			})
+			out = append(out, core.Succ{Action: m.labels[j][k], State: e.Omit(j, syncmp.OmitMask(k), false)})
 		}
 	}
 	return out
@@ -116,10 +116,11 @@ func (m *Model) Apply(x *syncmp.State, j int, omitTo uint64) *syncmp.State {
 // tests.
 type FullModel struct {
 	*core.SuccessorCache
-	inner *Model
-	p     proto.SyncProtocol
-	n     int
-	name  string
+	inner  *Model
+	p      proto.SyncProtocol
+	n      int
+	name   string
+	labels [][]string // labels[j][g] = "(j,G=g in n binary digits)" for g >= 1
 }
 
 var _ core.Model = (*FullModel)(nil)
@@ -131,6 +132,13 @@ func NewFull(p proto.SyncProtocol, n int) *FullModel {
 		p:     p,
 		n:     n,
 		name:  fmt.Sprintf("mobile/full(n=%d,%s)", n, p.Name()),
+	}
+	m.labels = make([][]string, n)
+	for j := range m.labels {
+		m.labels[j] = make([]string, 1<<uint(n))
+		for g := 1; g < 1<<uint(n); g++ {
+			m.labels[j][g] = fmt.Sprintf("(%d,G=%0*b)", j, n, g)
+		}
 	}
 	m.SuccessorCache = core.NewSuccessorCache(core.SuccessorFunc(m.successors))
 	return m
@@ -156,16 +164,13 @@ func (m *FullModel) successors(x core.State) []core.Succ {
 	if !ok {
 		return nil
 	}
-	out := []core.Succ{{
-		Action: "noop",
-		State:  syncmp.ApplyAction(m.p, s, 0, 0, false, false),
-	}}
+	actions := 1 + m.n*(1<<uint(m.n)-1)
+	e := syncmp.NewRoundEngine(m.p, s, false, false, actions)
+	out := make([]core.Succ, 0, actions)
+	out = append(out, core.Succ{Action: "noop", State: e.Omit(0, 0, false)})
 	for j := 0; j < m.n; j++ {
 		for g := uint64(1); g < 1<<uint(m.n); g++ {
-			out = append(out, core.Succ{
-				Action: fmt.Sprintf("(%d,G=%0*b)", j, m.n, g),
-				State:  syncmp.ApplyAction(m.p, s, j, g, false, false),
-			})
+			out = append(out, core.Succ{Action: m.labels[j][g], State: e.Omit(j, g, false)})
 		}
 	}
 	return out

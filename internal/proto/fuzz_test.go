@@ -2,6 +2,7 @@ package proto
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -18,8 +19,25 @@ func FuzzSplit(f *testing.F) {
 	f.Add(":::")          // pathological
 	f.Fuzz(func(t *testing.T, s string) {
 		fields, err := Split(s)
+		for k := 0; k <= 4; k++ {
+			dst := make([]string, k)
+			ok := SplitInto(s, dst)
+			if want := err == nil && len(fields) == k; ok != want {
+				t.Fatalf("SplitInto(%q, %d fields) = %v, Split gave %q, %v", s, k, ok, fields, err)
+			}
+			if ok && k > 0 && !reflect.DeepEqual(dst, fields) {
+				t.Fatalf("SplitInto(%q) = %q, Split gave %q", s, dst, fields)
+			}
+		}
 		if err != nil {
 			return
+		}
+		var enc []byte
+		for _, f := range fields {
+			enc = AppendField(enc, f)
+		}
+		if string(enc) != Join(fields...) {
+			t.Fatalf("AppendField encoding %q differs from Join's %q", enc, Join(fields...))
 		}
 		again, err := Split(Join(fields...))
 		if err != nil {
@@ -44,7 +62,15 @@ func FuzzDecodeIntSet(f *testing.F) {
 	f.Add("1,,2")
 	f.Fuzz(func(t *testing.T, s string) {
 		xs, err := DecodeIntSet(s)
+		prefix := []int{42}
+		got, perr := ParseInts(prefix, s)
+		if (perr == nil) != (err == nil) || (err == nil && !slices.Equal(got[1:], xs)) {
+			t.Fatalf("ParseInts(%q) = %v, %v; DecodeIntSet gave %v, %v", s, got, perr, xs, err)
+		}
 		if err != nil {
+			if len(got) != 1 || got[0] != 42 {
+				t.Fatalf("failed ParseInts(%q) returned %v, want dst unchanged", s, got)
+			}
 			return
 		}
 		enc := EncodeIntSet(xs)

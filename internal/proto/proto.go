@@ -8,6 +8,15 @@ package proto
 // (Send), the environment decides which messages to drop, and then every
 // process consumes the vector of messages that actually arrived (Deliver).
 // Local states are canonical strings (see the package comment).
+//
+// Send, Deliver and Decide must be pure functions of their arguments. The
+// models' round engine (syncmp.RoundEngine) relies on it: it computes all
+// the successors of a global state together, calling Send once per
+// process per global state and Deliver (then Decide) once per receiver and
+// set of arrived senders, and reuses those results for every environment
+// action that yields the same inbox. Deliver must not retain its in slice,
+// which is reused across calls. ValidateSync checks the determinism half
+// of this contract.
 type SyncProtocol interface {
 	// Name identifies the protocol.
 	Name() string

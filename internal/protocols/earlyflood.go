@@ -43,47 +43,56 @@ func (e EarlyFloodSet) Init(n, id, input int) string {
 
 // Send implements proto.SyncProtocol: broadcast W.
 func (e EarlyFloodSet) Send(state string) []string {
-	st, ok := parseEarly(state)
+	var vals [16]int
+	st, ok := parseEarly(state, vals[:0])
 	if !ok {
 		return broadcast("")
 	}
-	return broadcast(proto.EncodeIntSet(st.w))
+	var set [64]byte
+	return broadcast(string(appendIntSet(set[:0], st.w)))
 }
 
-// Deliver implements proto.SyncProtocol.
+// Deliver implements proto.SyncProtocol. Like FloodSet's, it scans the
+// state and messages in place and allocates only the result string.
 func (e EarlyFloodSet) Deliver(state string, in []string) string {
-	st, ok := parseEarly(state)
+	var vals [16]int
+	st, ok := parseEarly(state, vals[:0])
 	if !ok {
 		return state
 	}
-	var heard []int
+	var heardBuf [64]byte
+	heard := heardBuf[:0] // proto.EncodeIntSet of the senders heard from
 	for j, msg := range in {
 		if msg == "" {
 			continue
 		}
-		heard = append(heard, j)
-		vs, err := proto.DecodeIntSet(msg)
-		if err != nil {
-			continue
+		if len(heard) > 0 {
+			heard = append(heard, ',')
 		}
-		st.w = append(st.w, vs...)
+		heard = strconv.AppendInt(heard, int64(j), 10)
+		if vs, err := proto.ParseInts(st.w, msg); err == nil {
+			st.w = vs
+		}
 	}
 	st.round++
-	st.prevHeard = st.curHeard
-	st.curHeard = proto.EncodeIntSet(heard)
 	if st.dec < 0 {
-		stable := st.round >= 2 && st.curHeard == st.prevHeard
+		stable := st.round >= 2 && string(heard) == st.curHeard
 		if stable || st.round >= e.MaxRounds {
 			st.dec = minOf(st.w)
 		}
 	}
-	return proto.Join(strconv.Itoa(st.round),
-		proto.EncodeIntSet(st.w), st.prevHeard, st.curHeard, strconv.Itoa(st.dec))
+	var out [128]byte
+	b := appendIntField(out[:0], st.round)
+	b = appendSetField(b, st.w)
+	b = proto.AppendField(b, st.curHeard) // the new prevHeard
+	b = proto.AppendField(b, heard)
+	return string(appendIntField(b, st.dec))
 }
 
 // Decide implements proto.SyncProtocol.
 func (e EarlyFloodSet) Decide(state string) (int, bool) {
-	st, ok := parseEarly(state)
+	var vals [16]int
+	st, ok := parseEarly(state, vals[:0])
 	if !ok || st.dec < 0 {
 		return 0, false
 	}
@@ -98,13 +107,15 @@ type earlyState struct {
 	dec       int
 }
 
-func parseEarly(state string) (earlyState, bool) {
-	fields, err := proto.Split(state)
-	if err != nil || len(fields) != 5 {
+// parseEarly decodes the state round | W | prevHeard | curHeard | dec in
+// place, appending W's values to w; it reports false for a malformed state.
+func parseEarly(state string, w []int) (earlyState, bool) {
+	var fields [5]string
+	if !proto.SplitInto(state, fields[:]) {
 		return earlyState{}, false
 	}
 	round, err1 := strconv.Atoi(fields[0])
-	w, err2 := proto.DecodeIntSet(fields[1])
+	w, err2 := proto.ParseInts(w, fields[1])
 	dec, err3 := strconv.Atoi(fields[4])
 	if err1 != nil || err2 != nil || err3 != nil {
 		return earlyState{}, false

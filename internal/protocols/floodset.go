@@ -6,6 +6,7 @@
 package protocols
 
 import (
+	"slices"
 	"strconv"
 
 	"repro/internal/proto"
@@ -44,60 +45,95 @@ func (f FloodSet) Init(n, id, input int) string {
 
 // Send implements proto.SyncProtocol: broadcast W.
 func (f FloodSet) Send(state string) []string {
-	round, w := f.parse(state)
-	_ = round
-	msg := proto.EncodeIntSet(w)
+	var vals [16]int
+	_, w := f.parse(state, vals[:0])
+	var set [64]byte
+	enc := appendIntSet(set[:0], w)
+	// W is the state's last field, so a canonical state already holds the
+	// message's bytes: share them instead of copying.
+	msg := state[len(state)-min(len(enc), len(state)):]
+	if msg != string(enc) {
+		msg = string(enc)
+	}
 	// The number of processes is not recorded in the state; emit a
 	// broadcast vector sized by demand: the model only indexes out[j] for
 	// j < n, so we use a self-describing broadcast.
 	return broadcast(msg)
 }
 
-// Deliver implements proto.SyncProtocol.
+// Deliver implements proto.SyncProtocol. Malformed messages are ignored.
+// The state and messages are scanned in place; the result string is the
+// only allocation.
 func (f FloodSet) Deliver(state string, in []string) string {
-	round, w := f.parse(state)
+	var vals [16]int
+	round, w := f.parse(state, vals[:0])
 	for _, m := range in {
 		if m == "" {
 			continue
 		}
-		vs, err := proto.DecodeIntSet(m)
-		if err != nil {
-			continue // malformed messages are ignored
+		if vs, err := proto.ParseInts(w, m); err == nil {
+			w = vs
 		}
-		w = append(w, vs...)
 	}
-	return proto.Join(strconv.Itoa(round+1), proto.EncodeIntSet(w))
+	var out [64]byte
+	b := appendIntField(out[:0], round+1)
+	return string(appendSetField(b, w))
 }
 
 // Decide implements proto.SyncProtocol: after Rounds rounds, decide min(W).
 func (f FloodSet) Decide(state string) (int, bool) {
-	round, w := f.parse(state)
+	var vals [16]int
+	round, w := f.parse(state, vals[:0])
 	if round < f.Rounds || len(w) == 0 {
 		return 0, false
 	}
-	min := w[0]
-	for _, v := range w[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	return min, true
+	return slices.Min(w), true
 }
 
-func (f FloodSet) parse(state string) (round int, w []int) {
-	fields, err := proto.Split(state)
-	if err != nil || len(fields) != 2 {
-		return 0, nil
+// parse decodes the state round | W in place, appending W's values to w.
+// A malformed state yields round 0 and no values; a malformed W keeps the
+// round and yields no values.
+func (f FloodSet) parse(state string, w []int) (int, []int) {
+	var fields [2]string
+	if !proto.SplitInto(state, fields[:]) {
+		return 0, w
 	}
-	round, err = strconv.Atoi(fields[0])
+	round, err := strconv.Atoi(fields[0])
 	if err != nil {
-		return 0, nil
+		return 0, w
 	}
-	w, err = proto.DecodeIntSet(fields[1])
-	if err != nil {
-		return round, nil
+	if vs, err := proto.ParseInts(w, fields[1]); err == nil {
+		w = vs
 	}
 	return round, w
+}
+
+// appendIntSet appends proto.EncodeIntSet(w) to dst, sorting w in place.
+func appendIntSet(dst []byte, w []int) []byte {
+	slices.Sort(w)
+	for i, x := range w {
+		if i > 0 && x == w[i-1] {
+			continue
+		}
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(x), 10)
+	}
+	return dst
+}
+
+// appendIntField appends strconv.Itoa(x) as one proto.Join field.
+func appendIntField(dst []byte, x int) []byte {
+	var num [20]byte
+	return proto.AppendField(dst, strconv.AppendInt(num[:0], int64(x), 10))
+}
+
+// appendSetField appends proto.EncodeIntSet(w) as one proto.Join field,
+// sorting w in place.
+func appendSetField(dst []byte, w []int) []byte {
+	var set [64]byte
+	return proto.AppendField(dst, appendIntSet(set[:0], w))
 }
 
 // broadcast returns a virtual send vector that yields msg for every index.

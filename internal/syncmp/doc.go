@@ -18,7 +18,11 @@
 //   - S^t: S1 while fewer than t processes are failed, and the single
 //     failure-free action afterwards (Section 6).
 //
-// The round mechanics (ApplyAction, Round) are exported so that the mobile
-// failure model M^mf (package mobile) can reuse them with its own failure
-// semantics.
+// All successors of a global state come from one round engine
+// (RoundEngine): every action of a layer starts from the same locals, so
+// Send runs once per process and Deliver/Decide once per (receiver,
+// arrived senders), however many actions share them. The engine is
+// exported so that the mobile failure model M^mf (package mobile) reuses it
+// with its own failure semantics; ApplyAction, ApplyActionMode and Round
+// are one-action wrappers over it.
 package syncmp

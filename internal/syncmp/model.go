@@ -20,6 +20,7 @@ type Model struct {
 	budget  bool // true for S^t: stop failing once t processes are failed
 	general bool // general omission: failed processes also stop receiving
 	name    string
+	labels  [][]string // PrefixLabels(n)
 	inits   core.InitMemo
 }
 
@@ -38,8 +39,10 @@ func NewS1(p proto.SyncProtocol, n int) *Model {
 	})
 }
 
-// finishModel wires the model's embedded successor cache.
+// finishModel builds the model's action labels and wires its embedded
+// successor cache.
 func finishModel(m *Model) *Model {
+	m.labels = PrefixLabels(m.n)
 	m.SuccessorCache = core.NewSuccessorCache(core.SuccessorFunc(m.successors))
 	return m
 }
@@ -119,12 +122,15 @@ func (m *Model) successors(x core.State) []core.Succ {
 	if !ok {
 		return nil
 	}
-	out := make([]core.Succ, 0, m.n*m.n+1)
-	out = append(out, core.Succ{
-		Action: "noop",
-		State:  ApplyActionMode(m.p, s, 0, 0, true, true, m.general),
-	})
-	if m.budget && s.FailedCount() >= m.t {
+	exhausted := m.budget && s.FailedCount() >= m.t
+	actions := 1
+	if !exhausted {
+		actions += (m.n - s.FailedCount()) * m.n
+	}
+	e := NewRoundEngine(m.p, s, true, m.general, actions)
+	out := make([]core.Succ, 0, actions)
+	out = append(out, core.Succ{Action: "noop", State: e.Omit(0, 0, true)})
+	if exhausted {
 		return out
 	}
 	for j := 0; j < m.n; j++ {
@@ -132,13 +138,26 @@ func (m *Model) successors(x core.State) []core.Succ {
 			continue
 		}
 		for k := 1; k <= m.n; k++ {
-			out = append(out, core.Succ{
-				Action: "(" + strconv.Itoa(j) + ",[" + strconv.Itoa(k) + "])",
-				State:  ApplyActionMode(m.p, s, j, OmitMask(k), true, true, m.general),
-			})
+			out = append(out, core.Succ{Action: m.labels[j][k], State: e.Omit(j, OmitMask(k), true)})
 		}
 	}
 	return out
+}
+
+// PrefixLabels returns the S1 action labels for n processes: labels[j][k]
+// is "(j,[k])", process j omitting to the first k processes, for
+// 1 <= k <= n; labels[j][0] is "noop", the failure-free action (j,[0]).
+// Models build them once, so enumeration hands out shared strings.
+func PrefixLabels(n int) [][]string {
+	labels := make([][]string, n)
+	for j := range labels {
+		labels[j] = make([]string, n+1)
+		labels[j][0] = "noop"
+		for k := 1; k <= n; k++ {
+			labels[j][k] = "(" + strconv.Itoa(j) + ",[" + strconv.Itoa(k) + "])"
+		}
+	}
+	return labels
 }
 
 // binaryInputs decodes assignment index a into a binary input vector.

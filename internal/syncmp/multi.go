@@ -2,8 +2,6 @@ package syncmp
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/proto"
@@ -22,7 +20,16 @@ type MultiModel struct {
 	t           int
 	maxPerRound int
 	name        string
+	actions     []multiAction // every combined omission within min(maxPerRound, t), in enumeration order
 	inits       core.InitMemo
+}
+
+// multiAction is one combined omission: its label, the omissions, and the
+// processes that fail in it.
+type multiAction struct {
+	label string
+	oms   []omission
+	fails uint64
 }
 
 var _ core.Model = (*MultiModel)(nil)
@@ -37,6 +44,7 @@ func NewStMulti(p proto.SyncProtocol, n, t, maxPerRound int) *MultiModel {
 		maxPerRound: maxPerRound,
 		name:        fmt.Sprintf("syncmp/StMulti(n=%d,t=%d,c=%d,%s)", n, t, maxPerRound, p.Name()),
 	}
+	m.actions = multiActions(n, min(maxPerRound, t))
 	m.SuccessorCache = core.NewSuccessorCache(core.SuccessorFunc(m.successors))
 	return m
 }
@@ -78,76 +86,81 @@ type Omission struct {
 }
 
 // ApplyMulti applies one round in which every listed process fails
-// simultaneously (and previously-failed processes stay silenced).
+// simultaneously (and previously-failed processes stay silenced). Each
+// process is listed at most once.
 func (m *MultiModel) ApplyMulti(x *State, oms []Omission) *State {
-	failNow := uint64(0)
-	masks := make(map[int]uint64, len(oms))
-	for _, om := range oms {
-		failNow |= 1 << uint(om.J)
-		masks[om.J] = OmitMask(om.K)
+	failed := x.failed
+	list := make([]omission, len(oms))
+	for i, om := range oms {
+		failed |= 1 << uint(om.J)
+		list[i] = omission{from: om.J, to: OmitMask(om.K)}
 	}
-	drop := func(from, to int) bool {
-		if x.failed&(1<<uint(from)) != 0 {
-			return true
-		}
-		if mask, ok := masks[from]; ok {
-			return mask&(1<<uint(to)) != 0
-		}
-		return false
-	}
-	next := Round(m.p, x.locals, drop)
-	return NewState(m.p, x.round+1, next, x.failed|failNow, true, x.inputs)
+	return NewRoundEngine(m.p, x, true, false, 1).newSuccessor(list, failed)
 }
 
 // successors enumerates the failure-free round plus every combination of
 // up to maxPerRound new failures within the remaining budget; the embedded
-// cache serves Successors.
+// cache serves Successors. Combinations are listed in depth-first order
+// over (process, prefix) pairs, each label joining its omissions' "(j,[k])"
+// labels with "+".
 func (m *MultiModel) successors(x core.State) []core.Succ {
 	s, ok := x.(*State)
 	if !ok {
 		return nil
 	}
-	out := []core.Succ{{
-		Action: "noop",
-		State:  m.ApplyMulti(s, nil),
-	}}
-	budget := m.t - s.FailedCount()
-	limit := m.maxPerRound
-	if budget < limit {
-		limit = budget
-	}
-	var alive []int
-	for j := 0; j < m.n; j++ {
-		if !s.FailedAt(j) {
-			alive = append(alive, j)
+	limit := min(m.maxPerRound, m.t-s.FailedCount())
+	actions := 1
+	for _, a := range m.actions {
+		if a.enabled(s.failed, limit) {
+			actions++
 		}
 	}
-	var build func(start int, oms []Omission)
-	build = func(start int, oms []Omission) {
-		if len(oms) > 0 {
-			out = append(out, core.Succ{
-				Action: omissionLabel(oms),
-				State:  m.ApplyMulti(s, oms),
-			})
-		}
-		if len(oms) == limit {
-			return
-		}
-		for idx := start; idx < len(alive); idx++ {
-			for k := 1; k <= m.n; k++ {
-				next := append(append([]Omission(nil), oms...), Omission{J: alive[idx], K: k})
-				build(idx+1, next)
-			}
+	e := NewRoundEngine(m.p, s, true, false, actions)
+	out := make([]core.Succ, 0, actions)
+	out = append(out, core.Succ{Action: "noop", State: e.newSuccessor(nil, s.failed)})
+	for _, a := range m.actions {
+		if a.enabled(s.failed, limit) {
+			out = append(out, core.Succ{Action: a.label, State: e.newSuccessor(a.oms, s.failed|a.fails)})
 		}
 	}
-	build(0, nil)
 	return out
 }
 
-func omissionLabel(oms []Omission) string {
-	parts := make([]string, len(oms))
-	for i, om := range oms {
-		parts[i] = "(" + strconv.Itoa(om.J) + ",[" + strconv.Itoa(om.K) + "])"
+// enabled reports whether the action is available at a state with the
+// given failed set: none of its processes has failed yet and it fails at
+// most limit of them.
+func (a *multiAction) enabled(failed uint64, limit int) bool {
+	return a.fails&failed == 0 && len(a.oms) <= limit
+}
+
+// multiActions lists every combination of 1..limit omissions (j,[k]) by
+// distinct processes, in depth-first order: a combination precedes its
+// extensions, and extensions add processes in increasing order. Restricting
+// the list to the processes alive at a state and to that state's limit
+// yields exactly the depth-first enumeration over those processes.
+func multiActions(n, limit int) []multiAction {
+	labels := PrefixLabels(n)
+	var out []multiAction
+	var build func(start int, prefix multiAction)
+	build = func(start int, prefix multiAction) {
+		if len(prefix.oms) >= limit {
+			return
+		}
+		for j := start; j < n; j++ {
+			for k := 1; k <= n; k++ {
+				a := multiAction{
+					label: labels[j][k],
+					oms:   append(prefix.oms[:len(prefix.oms):len(prefix.oms)], omission{from: j, to: OmitMask(k)}),
+					fails: prefix.fails | 1<<uint(j),
+				}
+				if prefix.label != "" {
+					a.label = prefix.label + "+" + a.label
+				}
+				out = append(out, a)
+				build(j+1, a)
+			}
+		}
 	}
-	return strings.Join(parts, "+")
+	build(0, multiAction{})
+	return out
 }

@@ -2,6 +2,7 @@ package syncmp
 
 import (
 	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/proto"
@@ -49,16 +50,53 @@ func NewState(p proto.Decider, round int, locals []string, failed uint64, trackE
 			s.decided[i] = core.Undecided
 		}
 	}
-	if trackEnv {
-		s.envKey = proto.Join("r"+strconv.Itoa(round), "f"+strconv.FormatUint(failed, 16))
-	} else {
-		s.envKey = proto.Join("r" + strconv.Itoa(round))
-	}
-	fields := make([]string, 0, n+1)
-	fields = append(fields, s.envKey)
-	fields = append(fields, s.locals...)
-	s.key = proto.Join(fields...)
+	s.key, s.envKey = encodeKey(new(strings.Builder), 1, round, failed, trackEnv, s.locals)
 	return s
+}
+
+// encodeKey returns a state's key, proto.Join(envKey, locals...), and its
+// environment key — proto.Join("r<round>", "f<failed in hex>") when the
+// failed set is tracked, proto.Join("r<round>") otherwise — as a
+// substring of the key. The key is written into b, whose written bytes
+// never change, and is returned as a substring of b's contents: when b
+// lacks room it restarts with room for `expect` keys of this size, so the
+// keys of one enumeration share a few allocations.
+func encodeKey(b *strings.Builder, expect, round int, failed uint64, trackEnv bool, locals []string) (key, envKey string) {
+	var envBuf [48]byte
+	var num [20]byte
+	env := proto.AppendField(envBuf[:0], strconv.AppendInt(append(num[:0], 'r'), int64(round), 10))
+	if trackEnv {
+		env = proto.AppendField(env, strconv.AppendUint(append(num[:0], 'f'), failed, 16))
+	}
+	size := fieldLen(len(env))
+	for _, l := range locals {
+		size += fieldLen(len(l))
+	}
+	if b.Cap()-b.Len() < size {
+		*b = strings.Builder{}
+		b.Grow(size * max(expect, 1))
+	}
+	start := b.Len()
+	b.Write(strconv.AppendInt(num[:0], int64(len(env)), 10))
+	b.WriteByte(':')
+	envAt := b.Len()
+	b.Write(env)
+	for _, l := range locals {
+		b.Write(strconv.AppendInt(num[:0], int64(len(l)), 10))
+		b.WriteByte(':')
+		b.WriteString(l)
+	}
+	all := b.String()
+	return all[start:], all[envAt : envAt+len(env)]
+}
+
+// fieldLen is the length of a proto.Join field of n bytes.
+func fieldLen(n int) int {
+	digits := 1
+	for d := n; d >= 10; d /= 10 {
+		digits++
+	}
+	return digits + 1 + n
 }
 
 // N implements core.State.
