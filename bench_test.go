@@ -267,7 +267,9 @@ func BenchmarkE6_FastUnivalence(b *testing.B) {
 }
 
 // BenchmarkE7_ThickConnectivity — Theorem 7.2 / Corollary 7.3: the task
-// zoo's 1-thick-connectivity verdicts.
+// zoo's 1-thick-connectivity verdicts, then per-task rows: renaming (the
+// zoo's largest output set, checked at Δ' = Δ) and the Lemma 7.5
+// MinThickness profile of the n=3 zoo (a search at every k).
 func BenchmarkE7_ThickConnectivity(b *testing.B) {
 	for _, n := range []int{2, 3} {
 		b.Run(fmt.Sprintf("zoo/n=%d", n), func(b *testing.B) {
@@ -289,6 +291,28 @@ func BenchmarkE7_ThickConnectivity(b *testing.B) {
 			}
 		})
 	}
+	b.Run("renaming/n=3", func(b *testing.B) {
+		task := tasks.Renaming(3)
+		for i := 0; i < b.N; i++ {
+			if _, ok, err := task.Problem.KThickConnected(1, task.SubproblemBudget); err != nil || !ok {
+				b.Fatalf("renaming: ok=%v err=%v", ok, err)
+			}
+		}
+	})
+	b.Run("minthickness/n=3", func(b *testing.B) {
+		zoo := tasks.Zoo(3)
+		for i := 0; i < b.N; i++ {
+			for _, task := range zoo {
+				budget := task.SubproblemBudget
+				if budget == 0 {
+					budget = 1_000_000
+				}
+				if _, err := task.Problem.MinThickness(budget); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkE8_DiameterRecurrence — Lemma 7.6 / Theorem 7.7: measured

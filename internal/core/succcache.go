@@ -127,7 +127,8 @@ type cacheEntry struct {
 }
 
 // NewSuccessorCache returns an empty cache over the raw successor function
-// fn.
+// fn. fn must return a fresh slice from every call: the cache keeps it and
+// rewrites each successor's State to the interned state of its key.
 func NewSuccessorCache(fn Successor) *SuccessorCache {
 	c := &SuccessorCache{fn: fn, seed: maphash.MakeSeed()}
 	c.bufs.New = func() any {
@@ -139,14 +140,17 @@ func NewSuccessorCache(fn Successor) *SuccessorCache {
 
 // CacheOf returns the successor cache shared by s when s carries one (the
 // model types do, via embedding), or a fresh private cache wrapping s
-// otherwise.
+// otherwise. The private cache copies each enumerated slice, since s may
+// return one it shares (a wrapped model's cache does).
 func CacheOf(s Successor) *SuccessorCache {
 	if p, ok := s.(interface{ Cache() *SuccessorCache }); ok {
 		if c := p.Cache(); c != nil {
 			return c
 		}
 	}
-	return NewSuccessorCache(s)
+	return NewSuccessorCache(SuccessorFunc(func(x State) []Succ {
+		return append([]Succ(nil), s.Successors(x)...)
+	}))
 }
 
 // Cache returns the cache itself; it exists so that embedding a
@@ -368,6 +372,10 @@ func (c *SuccessorCache) SuccessorsOf(id uint32, x State) (succs []Succ, ids []u
 	for i := range raw {
 		buf = AppendKeyOf(raw[i].State, buf[:0])
 		rawIDs[i] = c.internKey(buf, raw[i].State)
+		// Keep the interned state, not the enumerated copy, so a duplicate
+		// successor does not live as long as the cache. raw is the
+		// enumerator's fresh slice (see NewSuccessorCache), ours to rewrite.
+		raw[i].State = c.StateOf(rawIDs[i])
 	}
 	c.release(bp, buf)
 	st := &c.stripes[stripeOf(id)]

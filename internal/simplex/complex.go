@@ -132,16 +132,34 @@ func (c *Complex) ThickComponents(n, k int) [][]string {
 func (c *Complex) thickGraph(n, k int) (*graph.Undirected, []Simplex) {
 	tops := c.Simplexes(n)
 	g := graph.NewUndirected(len(tops))
-	need := n - k
-	if need < 0 {
-		need = 0
+	thickEdges(intersectSizes(tops), len(tops), n-k, g.AddEdge)
+	return g, tops
+}
+
+// intersectSizes returns the pairwise intersection sizes of tops as a T×T
+// row-major matrix with the entries above the diagonal filled. Every
+// k-thick adjacency is this matrix thresholded at n-k, so one matrix
+// serves every k.
+func intersectSizes(tops []Simplex) []int32 {
+	t := len(tops)
+	out := make([]int32, t*t)
+	for i := range tops {
+		for j := i + 1; j < t; j++ {
+			out[i*t+j] = int32(tops[i].IntersectSize(tops[j]))
+		}
 	}
-	for i := 0; i < len(tops); i++ {
-		for j := i + 1; j < len(tops); j++ {
-			if tops[i].IntersectSize(tops[j]) >= need {
-				g.AddEdge(i, j)
+	return out
+}
+
+// thickEdges calls add(i, j) for every edge of the k-thick adjacency graph
+// over T simplexes: each pair i < j whose intersection, read off the
+// intersectSizes matrix, has at least need = n-k vertices.
+func thickEdges(inter []int32, t, need int, add func(i, j int)) {
+	for i := 0; i < t; i++ {
+		for j := i + 1; j < t; j++ {
+			if int(inter[i*t+j]) >= need {
+				add(i, j)
 			}
 		}
 	}
-	return g, tops
 }

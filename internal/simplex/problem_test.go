@@ -2,6 +2,7 @@ package simplex
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -103,6 +104,20 @@ func TestConnectedInputSubsetsCap(t *testing.T) {
 	}
 	if _, err := p.ThickConnectedWith(p.Delta, 1); err == nil {
 		t.Error("ThickConnectedWith should propagate the cap error")
+	}
+}
+
+// TestConnectedInputSubsetsSquare: the four binary inputs of two processes
+// form a similarity 4-cycle 00-10-11-01, whose connected subsets are all
+// of them but the two diagonals, listed in mask order.
+func TestConnectedInputSubsetsSquare(t *testing.T) {
+	got, err := miniConsensus(2).ConnectedInputSubsets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int{{0}, {1}, {0, 1}, {2}, {0, 2}, {0, 1, 2}, {3}, {1, 3}, {0, 1, 3}, {2, 3}, {0, 2, 3}, {1, 2, 3}, {0, 1, 2, 3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ConnectedInputSubsets = %v, want %v", got, want)
 	}
 }
 
